@@ -64,7 +64,7 @@ def symmetric_eig(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, eigenvectors=v)
 
 
-def _refine(
+def refine(
     matvec,
     solve,
     x: np.ndarray,
@@ -73,9 +73,13 @@ def _refine(
     norm_m: float,
     max_rounds: int = 5,
 ):
-    # Stops on the normwise backward error ||r|| / (||M||*||x|| + ||b||);
-    # a plain ||r|| <= tol*||b|| target is unreachable in double precision
-    # once cond(M) exceeds ~1/tol.
+    """Refine x until the normwise backward error ||r|| / (||M||*||x|| + ||b||)
+    is <= tol; raises RefinementError if max_rounds do not get there.
+
+    A plain ||r|| <= tol*||b|| target is unreachable in double precision
+    once cond(M) exceeds ~1/tol. Callers that need that target anyway pass
+    norm_m = 0, which turns the criterion into the relative residual.
+    """
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
         return np.zeros_like(b)
@@ -92,7 +96,8 @@ def _refine(
     err = backward_error(x, r)
     if err <= tol:
         return x
-    raise RefinementError(f"refinement stalled at backward error {err:.3e}")
+    measure = "backward error" if norm_m > 0.0 else "relative residual"
+    raise RefinementError(f"refinement stalled at {measure} {err:.3e} (target {tol:.1e})")
 
 
 class CholeskySolver:
@@ -109,7 +114,7 @@ class CholeskySolver:
     def solve(self, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
         x = sla.cho_solve(self._factor, b, check_finite=False)
-        return _refine(
+        return refine(
             lambda v: self._m @ v,
             lambda r: sla.cho_solve(self._factor, r, check_finite=False),
             x,
@@ -144,7 +149,7 @@ class SymmetricIndefiniteSolver:
     def solve(self, b: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64)
         x = self._solve_once(b)
-        return _refine(lambda v: self._m @ v, self._solve_once, x, b, tol, self._norm)
+        return refine(lambda v: self._m @ v, self._solve_once, x, b, tol, self._norm)
 
 
 def dense_solve_spd(m: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:

@@ -20,16 +20,24 @@ where Wt is the mass matrix (exact kind) or its row-sum lumping (lumped
 kinds) and rho defaults to sqrt(alpha). MINRES with P needs only
 applications of P^{-1}, built here from cached factorizations or inner CG
 depending on the kind.
+
+Every solve meant to be exact goes through one cached sparse LU
+(:class:`SparseLU`) refined against the sparse matrix: the reference KKT
+solve, the factored BDAL blocks and mass solves, the R*R solve of the
+baseline preconditioner, and the forward and adjoint PDE solves (one LU of
+A per ProblemOperators). Only the spectral verifier densifies, through
+kkt_dense.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from .dense import CholeskySolver, dense_solve_symmetric_indefinite
 from .fem import (
     DEFAULT_NITSCHE_GAMMA,
     DEFAULT_REG_SHIFT,
@@ -43,6 +51,7 @@ from .krylov import LinearOperator, inner_solve_to_tol, pcg
 from .mesh import ObservationSet, TriMesh
 from .sparse import (
     DimensionMismatchError,
+    SparseLU,
     SparseMatrix,
     sparse_add_scaled,
     sparse_transpose,
@@ -83,6 +92,13 @@ class ProblemOperators:
     def n(self) -> int:
         return self.mesh.n_vertices
 
+    @cached_property
+    def forward_solver(self) -> SparseLU:
+        """LU of A, factored on first use and shared by every forward and
+        adjoint solve of this instance. Solves meet the true-residual
+        contract ||A x - b|| <= EXACT_SOLVE_TOL * ||b|| or raise."""
+        return SparseLU(self.forward, "forward", EXACT_SOLVE_TOL, residual=True)
+
 
 def assemble_problem(
     mesh: TriMesh,
@@ -113,6 +129,7 @@ class KktSystem:
     forward: SparseMatrix  # A
     mass: SparseMatrix  # W
     alpha: float
+    y: np.ndarray  # observed data
     rhs: np.ndarray
     ops: ProblemOperators
 
@@ -145,6 +162,7 @@ def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
         forward=ops.forward,
         mass=ops.mass,
         alpha=alpha,
+        y=y,
         rhs=rhs,
         ops=ops,
     )
@@ -168,41 +186,27 @@ def kkt_operator(sys: KktSystem) -> LinearOperator:
     return LinearOperator(sys.dim, sys.dim, lambda z: apply_kkt(sys, z))
 
 
+def kkt_sparse(sys: KktSystem) -> sp.csc_matrix:
+    """The 3n x 3n KKT matrix assembled from its sparse blocks."""
+    w, a = sys.mass.csr, sys.forward.csr
+    return sp.bmat(
+        [[sys.alpha * sys.reg.csr, None, -w], [None, sys.btb.csr, a], [-w, a, None]],
+        format="csc",
+    )
+
+
 def kkt_dense(sys: KktSystem) -> np.ndarray:
     """Materialize the 3n x 3n KKT matrix (desk scale)."""
-    n = sys.n
-    k = np.zeros((3 * n, 3 * n))
-    reg = sys.reg.to_dense()
-    btb = sys.btb.to_dense()
-    a = sys.forward.to_dense()
-    w = sys.mass.to_dense()
-    k[:n, :n] = sys.alpha * reg
-    k[:n, 2 * n :] = -w
-    k[n : 2 * n, n : 2 * n] = btb
-    k[n : 2 * n, 2 * n :] = a
-    k[2 * n :, :n] = -w
-    k[2 * n :, n : 2 * n] = a
-    return k
+    return kkt_sparse(sys).toarray()
 
 
 def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
-    """Direct dense solve of the full KKT system, refined to
-    ||K z - rhs|| <= tol * ||rhs||. Intended for desk-scale references."""
+    """Sparse direct solve of the full KKT system: LU of the assembled 3n
+    matrix, refined to normwise backward error <= tol, which for a
+    reasonably conditioned K implies ||K z - rhs|| <= tol * ||rhs||."""
     if float(np.linalg.norm(sys.rhs)) == 0.0:
         return np.zeros(sys.dim)
-    return dense_solve_symmetric_indefinite(kkt_dense(sys), sys.rhs, tol=tol)
-
-
-class _SparseCholesky:
-    """Dense Cholesky of a sparse SPD block, refined against the sparse matrix."""
-
-    def __init__(self, m: SparseMatrix, tol: float):
-        self._m = m
-        self._tol = tol
-        self._chol = CholeskySolver(m.to_dense())
-
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        return self._chol.solve(r, tol=self._tol)
+    return SparseLU(kkt_sparse(sys), "KKT", tol)(sys.rhs)
 
 
 @dataclass
@@ -244,10 +248,11 @@ def build_preconditioner(
 ) -> Preconditioner:
     """Build a BDAL preconditioner for the KKT system.
 
-    rho defaults to sqrt(alpha). Exact kinds solve their blocks to 1e-12
-    (cached factorizations; the non-lumped kind inverts its implicit second
-    block by nested CG with inner mass solves). The inexact kind runs
-    Jacobi-CG to inner_tol on both sparse blocks.
+    rho defaults to sqrt(alpha). Exact kinds solve their factored blocks
+    with cached sparse LUs refined to backward error 1e-12; the non-lumped
+    kind inverts its implicit second block by nested CG to 1e-12, with LU
+    mass solves inside and the factored lumped block as its preconditioner.
+    The inexact kind runs Jacobi-CG to inner_tol on both sparse blocks.
     """
     if kind not in BDAL_KINDS:
         raise UnknownPreconditionerError(
@@ -264,12 +269,12 @@ def build_preconditioner(
 
     if kind == BDAL_EXACT:
         block1, block2_lumped, _ = _bdal_blocks(sys, rho, lumped=False)
-        solve1 = _SparseCholesky(block1, EXACT_SOLVE_TOL)
-        mass_solver = _SparseCholesky(sys.mass, EXACT_SOLVE_TOL)
+        solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL)
+        mass_solver = SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL)
         # Implicit block 2: each application performs one mass solve. The
         # explicit lumped block is spectrally close, so its factorization
         # preconditions the nested CG.
-        lumped_guide = _SparseCholesky(block2_lumped, EXACT_SOLVE_TOL)
+        lumped_guide = SparseLU(block2_lumped, "block 2", EXACT_SOLVE_TOL)
 
         def apply_block2(z: np.ndarray) -> np.ndarray:
             az = spmv(sys.forward, z)
@@ -288,8 +293,8 @@ def build_preconditioner(
     else:
         block1, block2, w_diag = _bdal_blocks(sys, rho, lumped=True)
         if kind == BDAL_LUMPED_EXACT:
-            solve1 = _SparseCholesky(block1, EXACT_SOLVE_TOL)
-            solve2 = _SparseCholesky(block2, EXACT_SOLVE_TOL)
+            solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL)
+            solve2 = SparseLU(block2, "block 2", EXACT_SOLVE_TOL)
         else:
             solve1 = lambda r: inner_solve_to_tol(block1, r, inner_tol)
             solve2 = lambda r: inner_solve_to_tol(block2, r, inner_tol)
@@ -323,17 +328,16 @@ class ReducedHessianOperator:
     """Matrix-free reduced Hessian H = J^T J + alpha * R*R with J = B A^{-1} W.
 
     Applying H does a forward solve A u = W q, observation, an adjoint solve
-    (A is symmetric, so the same matrix), and a mass-weighted pullback. PDE
-    solves run to forward_solve_tol.
+    (A is symmetric, so the same matrix), and a mass-weighted pullback. The
+    PDE solves use the instance's cached LU of A (forward_solver).
     """
 
-    forward: SparseMatrix
+    forward_solver: SparseLU
     mass: SparseMatrix
     btb: SparseMatrix
     reg: SparseMatrix
     alpha: float
-    forward_solve_tol: float = EXACT_SOLVE_TOL
-    _reg_solver: CholeskySolver | None = field(default=None, repr=False)
+    _reg_solver: SparseLU | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -343,8 +347,8 @@ class ReducedHessianOperator:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.n,):
             raise DimensionMismatchError(f"reduced Hessian expects length {self.n}")
-        u = inner_solve_to_tol(self.forward, spmv(self.mass, q), self.forward_solve_tol)
-        w = inner_solve_to_tol(self.forward, spmv(self.btb, u), self.forward_solve_tol)
+        u = self.forward_solver(spmv(self.mass, q))
+        w = self.forward_solver(spmv(self.btb, u))
         return spmv(self.mass, w) + self.alpha * spmv(self.reg, q)
 
     def as_operator(self) -> LinearOperator:
@@ -353,17 +357,16 @@ class ReducedHessianOperator:
     def rhs(self, y: np.ndarray, observation: SparseMatrix) -> np.ndarray:
         """Reduced right-hand side J^T y = W A^{-1} B^T y."""
         bty = spmv(sparse_transpose(observation), np.asarray(y, dtype=np.float64))
-        return spmv(self.mass, inner_solve_to_tol(self.forward, bty, self.forward_solve_tol))
+        return spmv(self.mass, self.forward_solver(bty))
 
 
-def reduced_hessian(sys: KktSystem, forward_solve_tol: float = EXACT_SOLVE_TOL) -> ReducedHessianOperator:
+def reduced_hessian(sys: KktSystem) -> ReducedHessianOperator:
     return ReducedHessianOperator(
-        forward=sys.forward,
+        forward_solver=sys.ops.forward_solver,
         mass=sys.mass,
         btb=sys.btb,
         reg=sys.reg,
         alpha=sys.alpha,
-        forward_solve_tol=forward_solve_tol,
     )
 
 
@@ -372,20 +375,22 @@ def reduced_hessian_apply(h: ReducedHessianOperator, q: np.ndarray) -> np.ndarra
 
 
 def regularization_prec_apply(h: ReducedHessianOperator, r: np.ndarray) -> np.ndarray:
-    """Solve alpha * (R*R) x = r to 1e-12; the baseline preconditioner."""
+    """Solve alpha * (R*R) x = r with a cached sparse LU refined to backward
+    error 1e-12; the baseline preconditioner."""
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (h.n,):
         raise DimensionMismatchError(f"regularization preconditioner expects length {h.n}")
     if h._reg_solver is None:
-        h._reg_solver = CholeskySolver(h.reg.to_dense())
-    return h._reg_solver.solve(r / h.alpha, tol=EXACT_SOLVE_TOL)
+        h._reg_solver = SparseLU(h.reg, "R*R", EXACT_SOLVE_TOL)
+    return h._reg_solver(r / h.alpha)
 
 
 def regularization_prec_operator(h: ReducedHessianOperator) -> LinearOperator:
     return LinearOperator(h.n, h.n, lambda r: regularization_prec_apply(h, r))
 
 
-def synthesize_data(ops: ProblemOperators, q_true: np.ndarray, tol: float = EXACT_SOLVE_TOL) -> np.ndarray:
-    """Noise-free observations of the state generated by q_true."""
-    u_true = inner_solve_to_tol(ops.forward, spmv(ops.mass, np.asarray(q_true, dtype=np.float64)), tol)
+def synthesize_data(ops: ProblemOperators, q_true: np.ndarray) -> np.ndarray:
+    """Noise-free observations of the state generated by q_true; the forward
+    solve meets ||A u - W q|| <= EXACT_SOLVE_TOL * ||W q|| or raises."""
+    u_true = ops.forward_solver(spmv(ops.mass, np.asarray(q_true, dtype=np.float64)))
     return spmv(ops.observation, u_true)

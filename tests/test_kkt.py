@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,15 @@ from kktprec import (
     BDAL_LUMPED_EXACT,
     BDAL_LUMPED_INEXACT,
     REDUCED_REGULARIZATION,
+    SparseMatrix,
     apply_kkt,
+    assemble_problem,
     bdal_apply_inverse,
+    build_mesh,
     build_kkt,
     build_preconditioner,
+    dense_solve_symmetric_indefinite,
+    generate_observations,
     minres,
     pcg,
     reduced_hessian,
@@ -18,8 +25,15 @@ from kktprec import (
     reference_solution,
     regularization_prec_apply,
     spmv,
+    synth_source,
+    synthesize_data,
 )
-from kktprec.kkt import UnknownPreconditionerError, kkt_dense, regularization_prec_operator
+from kktprec.dense import SingularMatrixError
+from kktprec.kkt import (
+    UnknownPreconditionerError,
+    kkt_dense,
+    regularization_prec_operator,
+)
 from kktprec.sparse import DimensionMismatchError
 
 
@@ -265,3 +279,56 @@ def _forward_solve(sys, b):
     from kktprec import inner_solve_to_tol
 
     return inner_solve_to_tol(sys.forward, b, 1e-12)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (10, 7)])
+def test_reference_solution_matches_dense_ldlt(kkt_4x4, shape):
+    sys = kkt_4x4 if shape == (4, 4) else make_instance(nx=10, ny=7, n_obs=20, alpha=1e-4)
+    z = reference_solution(sys)
+    z_dense = dense_solve_symmetric_indefinite(kkt_dense(sys), sys.rhs)
+    assert np.linalg.norm(z - z_dense) <= 1e-10 * np.linalg.norm(z_dense)
+
+
+def test_synthesize_data_forward_residual_large_mesh():
+    # n = 37513: Jacobi-CG could not reach the 1e-12 true residual here
+    mesh = build_mesh(1.45, 1.0, 232, 160)
+    ops = assemble_problem(mesh, generate_observations(1, 500, 1.45, 1.0))
+    q_true = synth_source(mesh).values
+    y = synthesize_data(ops, q_true)
+    b = spmv(ops.mass, q_true)
+    u = ops.forward_solver(b)
+    assert np.array_equal(y, spmv(ops.observation, u))
+    assert np.linalg.norm(spmv(ops.forward, u) - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_singular_blocks_raise_named_errors(kkt_2x2):
+    n = kkt_2x2.n
+    empty = SparseMatrix.from_coo(n, n, [], [], [])
+    # Without A, block 2 = BtB has empty columns away from the observations.
+    no_forward = dataclasses.replace(kkt_2x2, forward=empty)
+    with pytest.raises(SingularMatrixError, match="block 2"):
+        build_preconditioner(no_forward, BDAL_LUMPED_EXACT)
+    with pytest.raises(SingularMatrixError, match="KKT"):
+        reference_solution(dataclasses.replace(no_forward, mass=empty))
+
+
+def test_reduced_hessian_factors_forward_once(kkt_2x2, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(m, *args, **kwargs):
+        calls.append(m.shape)
+        return splu(m, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    ops = assemble_problem(kkt_2x2.ops.mesh, kkt_2x2.ops.obs)
+    sys = build_kkt(ops, alpha=1e-2, y=kkt_2x2.y)
+    h = reduced_hessian(sys)
+    rhs = h.rhs(sys.y, ops.observation)
+    for _ in range(3):
+        h.apply(rhs)
+    reduced_hessian(sys).apply(rhs)
+    synthesize_data(ops, rhs)
+    assert len(calls) == 1

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kktprec import SparseMatrix, sparse_add_scaled, sparse_transpose, sparse_triple_diag, spmv
-from kktprec.sparse import DimensionMismatchError, NonpositiveDiagonalError
+from kktprec.dense import RefinementError, SingularMatrixError
+from kktprec.sparse import DimensionMismatchError, NonpositiveDiagonalError, SparseLU
 
 
 def test_spmv_identity():
@@ -167,3 +168,29 @@ def test_csr_invariants_random_coo(data):
     # transposing twice is the identity on canonical CSR
     back = sparse_transpose(sparse_transpose(m))
     assert np.array_equal(back.to_dense(), m.to_dense())
+
+
+def test_sparse_lu_solves_and_refines():
+    rng = np.random.default_rng(31)
+    dense = rng.standard_normal((12, 12)) + 12.0 * np.eye(12)
+    dense[np.abs(dense) < 0.8] = 0.0
+    m = SparseMatrix.from_scipy(dense)
+    b = rng.standard_normal(12)
+    for residual in (False, True):
+        x = SparseLU(m, "test", 1e-12, residual=residual)(b)
+        assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.all(SparseLU(m, "test", 1e-12)(np.zeros(12)) == 0.0)
+
+
+def test_sparse_lu_singular_names_matrix():
+    m = SparseMatrix.diagonal([1.0, 0.0, 2.0])
+    with pytest.raises(SingularMatrixError, match="block 2 matrix"):
+        SparseLU(m, "block 2", 1e-12)
+
+
+def test_sparse_lu_stalled_refinement_reports_error():
+    rng = np.random.default_rng(32)
+    m = SparseMatrix.from_scipy(rng.standard_normal((8, 8)) + 8.0 * np.eye(8))
+    solver = SparseLU(m, "forward", 1e-30, residual=True)
+    with pytest.raises(RefinementError, match=r"forward solve: .*relative residual \d"):
+        solver(rng.standard_normal(8))
