@@ -100,30 +100,6 @@ def refine(
     raise RefinementError(f"refinement stalled at {measure} {err:.3e} (target {tol:.1e})")
 
 
-class CholeskySolver:
-    """Cached Cholesky factorization of an SPD matrix with refined solves."""
-
-    def __init__(self, m: np.ndarray):
-        self._m = _require_symmetric(m)
-        self._norm = float(np.linalg.norm(self._m))
-        try:
-            self._factor = sla.cho_factor(self._m, lower=True, check_finite=False)
-        except np.linalg.LinAlgError as exc:
-            raise NotSpdError(str(exc)) from exc
-
-    def solve(self, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-        b = np.asarray(b, dtype=np.float64)
-        x = sla.cho_solve(self._factor, b, check_finite=False)
-        return refine(
-            lambda v: self._m @ v,
-            lambda r: sla.cho_solve(self._factor, r, check_finite=False),
-            x,
-            b,
-            tol,
-            self._norm,
-        )
-
-
 class SymmetricIndefiniteSolver:
     """Cached Bunch-Kaufman LDL^T factorization with refined solves."""
 
@@ -157,7 +133,14 @@ def dense_solve_spd(m: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.ndar
 
     For reasonably conditioned m this implies ||m x - b|| <= tol * ||b||.
     """
-    return CholeskySolver(m).solve(b, tol=tol)
+    m = _require_symmetric(m)
+    try:
+        factor = sla.cho_factor(m, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError(str(exc)) from exc
+    b = np.asarray(b, dtype=np.float64)
+    solve = lambda r: sla.cho_solve(factor, r, check_finite=False)
+    return refine(lambda v: m @ v, solve, solve(b), b, tol, float(np.linalg.norm(m)))
 
 
 def dense_solve_symmetric_indefinite(

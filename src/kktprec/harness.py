@@ -162,15 +162,19 @@ def source_field(cfg: ExperimentConfig, mesh: TriMesh) -> NodalField:
     return interpolate_image(mesh, read_pgm(cfg.source), low=0.0, high=1.0)
 
 
-def _assemble_instance(
-    cfg: ExperimentConfig, nx: int, ny: int, alpha: float, obs_path: str
-) -> tuple[ProblemOperators, KktSystem, np.ndarray]:
-    mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
+def _assemble_operators(cfg: ExperimentConfig, mesh: TriMesh, obs_path: str) -> ProblemOperators:
     obs = read_observations(obs_path, cfg.lx, cfg.ly)
-    ops = assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)
-    q_true = source_field(cfg, mesh).values
-    y = synthesize_data(ops, q_true)
-    return ops, build_kkt(ops, alpha, y), q_true
+    return assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)
+
+
+def _assemble_data(
+    cfg: ExperimentConfig, nx: int, ny: int, obs_path: str
+) -> tuple[ProblemOperators, np.ndarray]:
+    """Operators of one (mesh, observation file) pair and the synthetic data
+    y; neither depends on alpha."""
+    mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
+    ops = _assemble_operators(cfg, mesh, obs_path)
+    return ops, synthesize_data(ops, source_field(cfg, mesh).values)
 
 
 def _run_id(kind: str, nx: int, ny: int, alpha: float, n_obs: int) -> str:
@@ -252,7 +256,8 @@ def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> list[R
     os.makedirs(out, exist_ok=True)
     nx, ny, alpha, n_obs = cfg.nx[0], cfg.ny[0], cfg.alpha[0], cfg.n_obs[0]
     obs_path = _obs_source(cfg, n_obs, out)
-    ops, sys, _ = _assemble_instance(cfg, nx, ny, alpha, obs_path)
+    ops, y = _assemble_data(cfg, nx, ny, obs_path)
+    sys = build_kkt(ops, alpha, y)
     q_ref = reference_solution(sys)[: sys.n]
 
     records = []
@@ -288,7 +293,8 @@ def run_mesh_study(cfg: ExperimentConfig, out_dir: str | None = None) -> list[di
     records = []
     summary = []
     for nx, ny in zip(cfg.nx, cfg.ny):
-        ops, sys, _ = _assemble_instance(cfg, nx, ny, alpha, obs_path)
+        ops, y = _assemble_data(cfg, nx, ny, obs_path)
+        sys = build_kkt(ops, alpha, y)
         q_ref = reference_solution(sys)[: sys.n]
         for kind in cfg.preconditioners:
             run_id = _run_id(kind, nx, ny, alpha, n_obs)
@@ -328,9 +334,9 @@ def run_reg_data_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> np.
     matrix = np.full((len(cfg.alpha), len(cfg.n_obs)), -1, dtype=np.int64)
 
     for j, n_obs in enumerate(cfg.n_obs):
-        obs_path = _obs_source(cfg, n_obs, out)
+        ops, y = _assemble_data(cfg, nx, ny, _obs_source(cfg, n_obs, out))
         for i, alpha in enumerate(cfg.alpha):
-            ops, sys, _ = _assemble_instance(cfg, nx, ny, alpha, obs_path)
+            sys = build_kkt(ops, alpha, y)
             q_ref = reference_solution(sys)[: sys.n]
             rec = solve_one(
                 cfg, sys, kind, q_ref, _run_id(kind, nx, ny, alpha, n_obs)
@@ -358,12 +364,10 @@ def run_theory_verification(
     rows = []
     all_ok = True
     for nx, ny in zip(cfg.nx, cfg.ny):
+        mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
         for n_obs in cfg.n_obs:
-            obs_path = _obs_source(cfg, n_obs, out)
+            ops = _assemble_operators(cfg, mesh, _obs_source(cfg, n_obs, out))
             for alpha in cfg.alpha:
-                mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
-                obs = read_observations(obs_path, cfg.lx, cfg.ly)
-                ops = assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)
                 sys = build_kkt(ops, alpha, np.zeros(n_obs))
                 prec = build_preconditioner(sys, "bdal-exact", rho=cfg.rho_for(alpha))
                 run_id = f"theory-nx{nx}-ny{ny}-alpha{alpha:g}-obs{n_obs}"

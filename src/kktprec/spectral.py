@@ -22,7 +22,10 @@ Two views of the same constants:
       cond(E)      <= (2+2 sqrt(2)) / ((1-beta) delta)
   along with sigma_min([F G]) >= sqrt(2 delta) and coercivity
   lambda_min(X + Y^T Y) >= 1 - beta for the diagonal part X and coupling Y.
-verify_spectral_bounds checks all five numerically on dense assemblies.
+verify_spectral_bounds checks all five numerically on dense assemblies,
+with E formed as the block-Cholesky congruence L^(-1) K L^(-T), P = L L^T:
+it differs from P^(-1/2) K P^(-1/2) by an orthogonal block-diagonal factor,
+so it has the same spectrum, and F and G the same singular values.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cholesky, solve_triangular
 
 from .kkt import BDAL_EXACT, KktSystem, Preconditioner, kkt_dense
-from .dense import CholeskySolver, symmetric_eig
+from .dense import NotSpdError, symmetric_eig
 
 
 class AssumptionViolationError(ValueError):
@@ -251,15 +255,6 @@ def laplacian_source_model(
 # dense operator-level verification
 
 
-def symmetric_inv_sqrt(m: np.ndarray) -> np.ndarray:
-    """Inverse square root of an SPD matrix via eigendecomposition."""
-    e = symmetric_eig(m)
-    if float(e.eigenvalues[0]) <= 0.0:
-        raise ValueError("matrix must be positive definite for an inverse square root")
-    q = e.eigenvectors
-    return (q / np.sqrt(e.eigenvalues)) @ q.T
-
-
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     e = symmetric_eig(m)
     vals = np.clip(e.eigenvalues, 0.0, None)
@@ -267,23 +262,41 @@ def _sqrt_psd(m: np.ndarray) -> np.ndarray:
     return (q * np.sqrt(vals)) @ q.T
 
 
+def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
+    try:
+        return cholesky(m, lower=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise NotSpdError(f"preconditioner block {name} is not positive definite: {exc}") from exc
+
+
+def _congruence(k: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """L^(-1) K L^(-T) for L = diag(factors), block by block. Zero blocks of K
+    are skipped and each lower block is mirrored, so the result is symmetric."""
+    ends = np.cumsum([l.shape[0] for l in factors])
+    spans = [slice(end - l.shape[0], end) for end, l in zip(ends, factors)]
+    e = np.zeros_like(k)
+    for i, (rows, li) in enumerate(zip(spans, factors)):
+        for j, (cols, lj) in enumerate(zip(spans[: i + 1], factors)):
+            if not k[rows, cols].any():
+                continue
+            x = solve_triangular(li, k[rows, cols], lower=True, check_finite=False)
+            x = solve_triangular(lj, x.T, lower=True, check_finite=False).T
+            e[rows, cols] = 0.5 * (x + x.T) if i == j else x
+            e[cols, rows] = e[rows, cols].T
+    return e
+
+
 def preconditioned_dense(k: np.ndarray, p_blocks: list[np.ndarray]) -> np.ndarray:
-    """E = P^(-1/2) K P^(-1/2) for block-diagonal SPD P, symmetrized."""
-    dims = [b.shape[0] for b in p_blocks]
-    if sum(dims) != k.shape[0]:
+    """E = L^(-1) K L^(-T) for block-diagonal SPD P = L L^T (blockwise
+    Cholesky); E has the spectrum of P^(-1/2) K P^(-1/2) and of P^(-1) K."""
+    if sum(b.shape[0] for b in p_blocks) != k.shape[0]:
         raise ValueError("preconditioner blocks do not tile the operator")
-    inv_sqrts = [symmetric_inv_sqrt(b) for b in p_blocks]
-    s = np.zeros_like(k)
-    offset = 0
-    for b in inv_sqrts:
-        d = b.shape[0]
-        s[offset : offset + d, offset : offset + d] = b
-        offset += d
-    e = s @ k @ s
-    return 0.5 * (e + e.T)
+    return _congruence(k, [_cholesky(b, f"P{i}") for i, b in enumerate(p_blocks, 1)])
 
 
-def _dense_bdal_blocks(sys: KktSystem, prec: Preconditioner) -> list[np.ndarray]:
+def _bdal_factors(sys: KktSystem, prec: Preconditioner) -> list[np.ndarray]:
+    """Cholesky factors of the exact BDAL blocks. With P3 = W / rho = L3 L3^T
+    and C = L3^(-1) A, P2 = BtB + rho At W^(-1) A is exactly BtB + Ct C."""
     if prec.kind != BDAL_EXACT:
         raise ValueError(
             "dense spectral verification needs the exact-mass preconditioner "
@@ -291,13 +304,10 @@ def _dense_bdal_blocks(sys: KktSystem, prec: Preconditioner) -> list[np.ndarray]
         )
     rho = prec.rho
     w = sys.mass.to_dense()
-    a = sys.forward.to_dense()
-    p1 = sys.alpha * sys.reg.to_dense() + rho * w
-    winv_a = CholeskySolver(w).solve(a, tol=1e-12)  # multi-rhs: W^{-1} A
-    p2 = sys.btb.to_dense() + rho * (a.T @ winv_a)
-    p2 = 0.5 * (p2 + p2.T)
-    p3 = (1.0 / rho) * w
-    return [p1, p2, p3]
+    l1 = _cholesky(sys.alpha * sys.reg.to_dense() + rho * w, "P1")
+    l3 = _cholesky((1.0 / rho) * w, "P3")
+    c = solve_triangular(l3, sys.forward.to_dense(), lower=True, check_finite=False)
+    return [l1, _cholesky(sys.btb.to_dense() + c.T @ c, "P2"), l3]
 
 
 def preconditioned_kkt_dense(
@@ -306,19 +316,18 @@ def preconditioned_kkt_dense(
     """Dense symmetric preconditioned KKT operator (desk scale only)."""
     if sys.dim > max_dim:
         raise DeskScaleError(f"dense verification refused at dim {sys.dim} > {max_dim}")
-    return preconditioned_dense(kkt_dense(sys), _dense_bdal_blocks(sys, prec))
+    return _congruence(kkt_dense(sys), _bdal_factors(sys, prec))
+
+
+def _coupling(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    return e[2 * n :, :n], e[2 * n :, n : 2 * n]
 
 
 def coupling_blocks(sys: KktSystem, prec: Preconditioner) -> tuple[np.ndarray, np.ndarray]:
-    """The scaled coupling blocks F (parameter) and G (state) of E, formed
-    from symmetric square roots of the preconditioner blocks."""
-    p1, p2, p3 = _dense_bdal_blocks(sys, prec)
-    s1 = symmetric_inv_sqrt(p1)
-    s2 = symmetric_inv_sqrt(p2)
-    s3 = symmetric_inv_sqrt(p3)
-    f = s3 @ (-sys.mass.to_dense()) @ s1
-    g = s3 @ sys.forward.to_dense() @ s2
-    return f, g
+    """The scaled coupling blocks F = L3^(-1) (-W) L1^(-T) (parameter) and
+    G = L3^(-1) A L2^(-T) (state) of E. The symmetric-root blocks are Q F V1
+    and Q G V2 with Q, V1, V2 orthogonal, so no derived constant changes."""
+    return _coupling(_congruence(kkt_dense(sys), _bdal_factors(sys, prec)), sys.n)
 
 
 def _check(label: str, ok: bool, failures: list[str]) -> None:
@@ -335,10 +344,8 @@ def verify_spectral_bounds(
     the five bounds with the given slack. Raises TheoryViolationError
     (carrying the report) if any fails.
     """
-    if sys.dim > max_dim:
-        raise DeskScaleError(f"dense verification refused at dim {sys.dim} > {max_dim}")
     e = preconditioned_kkt_dense(sys, prec, max_dim=max_dim)
-    f, g = coupling_blocks(sys, prec)
+    f, g = _coupling(e, sys.n)
 
     eig_e = np.linalg.eigvalsh(e)
     sigma = np.abs(eig_e)

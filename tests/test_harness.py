@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import splitmix64_reference
+from kktprec import harness
 from kktprec.config import ExperimentConfig
 from kktprec.formats import read_pgm, write_observations
 from kktprec.harness import (
@@ -384,3 +385,50 @@ def test_theory_verification_grid_size(tmp_path):
     assert all_ok
     assert len(rows) == 8  # 2 meshes x 2 n_obs x 2 alpha
     assert len({row["run-id"] for row in rows}) == 8
+
+
+# ------------------------------------------------------- shared assembly
+
+
+def _count_assembly(monkeypatch):
+    calls = []
+    real = harness.assemble_problem
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "assemble_problem", counting)
+    return calls
+
+
+def test_theory_assembles_once_per_mesh_and_obs_count(tmp_path, monkeypatch):
+    calls = _count_assembly(monkeypatch)
+    cfg = ExperimentConfig(
+        nx=(3, 4),
+        ny=(2, 3),
+        alpha=(1e-2, 1e-4, 1e-6),
+        n_obs=(4, 7),
+        seed=1,
+        out_dir=str(tmp_path),
+    )
+    rows, _ = run_theory_verification(cfg)
+    assert len(rows) == 12
+    assert len(calls) == 4  # 2 meshes x 2 n_obs; alpha does not reassemble
+
+
+def test_sweep_assembles_once_per_obs_count(tmp_path, monkeypatch):
+    calls = _count_assembly(monkeypatch)
+    cfg = ExperimentConfig(
+        nx=(4,),
+        ny=(3,),
+        alpha=(1.0, 1e-2, 1e-4, 1e-6),
+        n_obs=(5, 7, 9),
+        seed=1,
+        preconditioners=("bdal-lumped-exact",),
+        maxit=50,
+        out_dir=str(tmp_path),
+    )
+    matrix = run_reg_data_sweep(cfg)
+    assert matrix.shape == (4, 3)
+    assert len(calls) == 3  # one per n_obs, shared by the four alphas

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,8 @@ from kktprec import (
     stability_sigma_max,
     verify_spectral_bounds,
 )
+from kktprec.dense import NotSpdError
+from kktprec.kkt import kkt_dense
 from kktprec.spectral import (
     AssumptionViolationError,
     DeskScaleError,
@@ -257,6 +260,58 @@ def test_preconditioned_dense_identity_for_matching_blocks():
     assert np.linalg.norm(e - np.eye(9)) <= 1e-10
     sigmas = np.abs(np.linalg.eigvalsh(e))
     assert sigmas.max() / sigmas.min() <= 1.0 + 1e-10
+
+
+def test_preconditioned_dense_names_non_spd_block():
+    good = np.eye(2)
+    bad = np.diag([1.0, -1.0])
+    with pytest.raises(NotSpdError, match="P2"):
+        preconditioned_dense(np.eye(6), [good, bad, good])
+
+
+def _exact_bdal_blocks(sys, rho):
+    # P1, P2, P3 of the exact kind assembled directly from their definitions
+    w = sys.mass.to_dense()
+    a = sys.forward.to_dense()
+    p1 = sys.alpha * sys.reg.to_dense() + rho * w
+    p2 = sys.btb.to_dense() + rho * (a.T @ np.linalg.solve(w, a))
+    return p1, 0.5 * (p2 + p2.T), w / rho
+
+
+def _symmetric_root_coupling(sys, rho):
+    def inv_sqrt(m):
+        vals, vecs = np.linalg.eigh(m)
+        return (vecs / np.sqrt(vals)) @ vecs.T
+
+    s1, s2, s3 = (inv_sqrt(p) for p in _exact_bdal_blocks(sys, rho))
+    return s3 @ (-sys.mass.to_dense()) @ s1, s3 @ sys.forward.to_dense() @ s2
+
+
+@pytest.fixture(scope="module")
+def kkt_10x7():
+    return make_instance(nx=10, ny=7, n_obs=50, alpha=1e-4)
+
+
+@pytest.mark.parametrize("name", ["kkt_2x2", "kkt_10x7"])
+def test_preconditioned_kkt_matches_generalized_eigenproblem(name, request):
+    # K x = lambda P x shares its spectrum with the congruence L^-1 K L^-T
+    sys = request.getfixturevalue(name)
+    p = build_preconditioner(sys, BDAL_EXACT)
+    got = np.linalg.eigvalsh(preconditioned_kkt_dense(sys, p))
+    want = sla.eigh(
+        kkt_dense(sys), sla.block_diag(*_exact_bdal_blocks(sys, p.rho)), eigvals_only=True
+    )
+    assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["kkt_2x2", "kkt_10x7"])
+def test_coupling_blocks_match_symmetric_roots(name, request):
+    sys = request.getfixturevalue(name)
+    p = build_preconditioner(sys, BDAL_EXACT)
+    for got, want in zip(coupling_blocks(sys, p), _symmetric_root_coupling(sys, p.rho)):
+        sv_got = np.linalg.svd(got, compute_uv=False)
+        sv_want = np.linalg.svd(want, compute_uv=False)
+        assert np.max(np.abs(sv_got - sv_want)) <= 1e-10 * sv_want[0]
 
 
 def test_preconditioned_kkt_symmetric(kkt_2x2):
