@@ -25,14 +25,14 @@ Every solve meant to be exact goes through one cached sparse LU
 (:class:`SparseLU`) refined against the sparse matrix: the reference KKT
 solve, the factored BDAL blocks and mass solves, the R*R solve of the
 baseline preconditioner, and the forward and adjoint PDE solves (one LU of
-A per ProblemOperators). Only the spectral verifier densifies, through
-kkt_dense.
+A per ProblemOperators). Only the spectral verifier densifies, one n x n
+block of kkt_sparse at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 import numpy as np
@@ -252,6 +252,7 @@ def build_preconditioner(
     with cached sparse LUs refined to backward error 1e-12; the non-lumped
     kind inverts its implicit second block by nested CG to 1e-12, with LU
     mass solves inside and the factored lumped block as its preconditioner.
+    It factors on first apply, so a singular block raises there, not here.
     The inexact kind runs Jacobi-CG to inner_tol on both sparse blocks.
     """
     if kind not in BDAL_KINDS:
@@ -268,27 +269,36 @@ def build_preconditioner(
     n = sys.n
 
     if kind == BDAL_EXACT:
-        block1, block2_lumped, _ = _bdal_blocks(sys, rho, lumped=False)
-        solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL)
-        mass_solver = SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL)
+        # Factored on first apply: the spectral verifier reads only kind
+        # and rho, and never applies this preconditioner.
+        @cache
+        def factors() -> tuple[SparseLU, SparseLU, SparseLU]:
+            block1, block2_lumped, _ = _bdal_blocks(sys, rho, lumped=False)
+            return (
+                SparseLU(block1, "block 1", EXACT_SOLVE_TOL),
+                SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL),
+                SparseLU(block2_lumped, "block 2", EXACT_SOLVE_TOL),
+            )
+
+        solve1 = lambda r: factors()[0](r)
+        mass_solve = lambda r: factors()[1](r)
+
         # Implicit block 2: each application performs one mass solve. The
         # explicit lumped block is spectrally close, so its factorization
         # preconditions the nested CG.
-        lumped_guide = SparseLU(block2_lumped, "block 2", EXACT_SOLVE_TOL)
-
         def apply_block2(z: np.ndarray) -> np.ndarray:
             az = spmv(sys.forward, z)
-            return spmv(sys.btb, z) + rho * spmv(sys.forward, mass_solver(az))
+            return spmv(sys.btb, z) + rho * spmv(sys.forward, mass_solve(az))
 
         block2_op = LinearOperator(n, n, apply_block2)
-        guide_op = LinearOperator(n, n, lumped_guide)
+        guide_op = LinearOperator(n, n, lambda r: factors()[2](r))
 
         def solve2(r: np.ndarray) -> np.ndarray:
             report = pcg(block2_op, guide_op, r, tol=EXACT_SOLVE_TOL, maxit=50 * n)
             return report.solution
 
         def solve3(r: np.ndarray) -> np.ndarray:
-            return rho * mass_solver(r)
+            return rho * mass_solve(r)
 
     else:
         block1, block2, w_diag = _bdal_blocks(sys, rho, lumped=True)

@@ -1,14 +1,17 @@
 """Experiment drivers: observation sampling, the synthetic source, and the
 four run_* entry points with their CSV/PGM outputs."""
 
+import concurrent.futures
 import os
 
 import numpy as np
 import pytest
 
 from helpers import splitmix64_reference
-from kktprec import harness
+from kktprec import harness, parallel
+from kktprec.cli import EXIT_ERROR, EXIT_THEORY_VIOLATION, main
 from kktprec.config import ExperimentConfig
+from kktprec.dense import NotSpdError
 from kktprec.formats import read_pgm, write_observations
 from kktprec.harness import (
     CSV_COLUMNS,
@@ -20,6 +23,7 @@ from kktprec.harness import (
     synth_source,
 )
 from kktprec.mesh import build_mesh
+from kktprec.spectral import TheoryViolationError
 
 
 # ---------------------------------------------------------------- sampling
@@ -385,6 +389,70 @@ def test_theory_verification_grid_size(tmp_path):
     assert all_ok
     assert len(rows) == 8  # 2 meshes x 2 n_obs x 2 alpha
     assert len({row["run-id"] for row in rows}) == 8
+
+
+def _theory_grid(out_dir):
+    return ExperimentConfig(
+        nx=(3, 4),
+        ny=(2, 3),
+        alpha=(1e-2, 1e-6),
+        n_obs=(4, 7),
+        seed=3,
+        out_dir=str(out_dir),
+    )
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+def test_theory_pooled_and_serial_agree(tmp_path, monkeypatch):
+    pooled, pooled_ok = run_theory_verification(_theory_grid(tmp_path / "pooled"))
+    # One available core: same cap, same job function, run in this process.
+    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    serial, serial_ok = run_theory_verification(_theory_grid(tmp_path / "serial"))
+    assert pooled_ok and serial_ok
+    assert pooled == serial
+    csv = [(tmp_path / side / "theory.csv").read_bytes() for side in ("pooled", "serial")]
+    assert csv[0] == csv[1]
+
+
+def test_theory_without_blas_cap_runs_serially(tmp_path, monkeypatch):
+    capped, _ = run_theory_verification(_theory_grid(tmp_path / "capped"))
+    monkeypatch.setattr(parallel, "_openblas_controls", lambda: [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    uncapped, _ = run_theory_verification(_theory_grid(tmp_path / "uncapped"))
+    assert uncapped == capped
+
+
+def test_theory_worker_error_reaches_caller(tmp_path, monkeypatch, capsys):
+    def fail(sys, prec):
+        raise NotSpdError(f"preconditioner block P2 is not positive definite at n={sys.n}")
+
+    # Workers are forked after the patch, so they run it too.
+    monkeypatch.setattr(harness, "verify_spectral_bounds", fail)
+    with pytest.raises(NotSpdError, match="block P2 is not positive definite at n=12"):
+        run_theory_verification(_theory_grid(tmp_path))
+    code = main(["verify-theory", "--out", str(tmp_path), "--set", "nx = 3", "--set", "ny = 2"])
+    assert code == EXIT_ERROR
+    assert "error: preconditioner block P2 is not positive definite" in capsys.readouterr().err
+
+
+def test_theory_violation_recorded_per_row(tmp_path, monkeypatch):
+    real = harness.verify_spectral_bounds
+
+    def violate(sys, prec):
+        raise TheoryViolationError("forced", real(sys, prec))
+
+    monkeypatch.setattr(harness, "verify_spectral_bounds", violate)
+    rows, all_ok = run_theory_verification(_theory_grid(tmp_path))
+    assert not all_ok
+    assert len(rows) == 8 and not any(row["pass"] for row in rows)
+    lines = (tmp_path / "theory.csv").read_text().splitlines()[1:]
+    assert all(line.endswith(",false") for line in lines)
+    code = main(["verify-theory", "--out", str(tmp_path / "cli"), "--set", "nx = 3", "--set", "ny = 2"])
+    assert code == EXIT_THEORY_VIOLATION
 
 
 # ------------------------------------------------------- shared assembly

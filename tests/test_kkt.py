@@ -308,8 +308,31 @@ def test_singular_blocks_raise_named_errors(kkt_2x2):
     no_forward = dataclasses.replace(kkt_2x2, forward=empty)
     with pytest.raises(SingularMatrixError, match="block 2"):
         build_preconditioner(no_forward, BDAL_LUMPED_EXACT)
+    lazy = build_preconditioner(no_forward, BDAL_EXACT)
+    with pytest.raises(SingularMatrixError, match="block 2"):
+        bdal_apply_inverse(lazy, np.ones(3 * n))
     with pytest.raises(SingularMatrixError, match="KKT"):
         reference_solution(dataclasses.replace(no_forward, mass=empty))
+
+
+def test_bdal_exact_factors_once_on_first_apply(kkt_2x2, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(m, *args, **kwargs):
+        calls.append(m.shape)
+        return splu(m, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    p = build_preconditioner(kkt_2x2, BDAL_EXACT)
+    assert calls == []
+    r = np.ones(kkt_2x2.dim)
+    first = bdal_apply_inverse(p, r)
+    assert len(calls) == 3  # block 1, mass, lumped block 2
+    assert np.array_equal(bdal_apply_inverse(p, r), first)
+    assert len(calls) == 3
 
 
 def test_reduced_hessian_factors_forward_once(kkt_2x2, monkeypatch):
