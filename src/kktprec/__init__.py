@@ -3,12 +3,6 @@ systems of PDE-constrained source inversion, with a P1 finite element
 benchmark and numerical verification of the provable spectral bounds."""
 
 from .config import ConfigError, ExperimentConfig, load_config
-from .dense import (
-    EigenDecomposition,
-    dense_solve_spd,
-    dense_solve_symmetric_indefinite,
-    symmetric_eig,
-)
 from .fem import (
     assemble_mass,
     assemble_observation,
@@ -17,56 +11,25 @@ from .fem import (
     interpolate_image,
     lump_mass,
 )
-from .harness import (
-    RunRecord,
-    generate_observations,
-    run_convergence,
-    run_mesh_study,
-    run_reg_data_sweep,
-    run_theory_verification,
-    synth_source,
-)
+from .harness import generate_observations, synth_source
 from .kkt import (
     BDAL_EXACT,
     BDAL_LUMPED_EXACT,
     BDAL_LUMPED_INEXACT,
-    PRECONDITIONER_KINDS,
     REDUCED_REGULARIZATION,
-    KktSystem,
-    Preconditioner,
-    ProblemOperators,
-    ReducedHessianOperator,
     apply_kkt,
     assemble_problem,
-    bdal_apply_inverse,
     build_kkt,
     build_preconditioner,
     reduced_hessian,
-    reduced_hessian_apply,
     reference_solution,
-    regularization_prec_apply,
     synthesize_data,
 )
-from .krylov import (
-    LinearOperator,
-    SolveReport,
-    inner_solve_to_tol,
-    minres,
-    pcg,
-)
-from .mesh import NodalField, ObservationSet, TriMesh, build_mesh
-from .sparse import (
-    SparseMatrix,
-    sparse_add_scaled,
-    sparse_transpose,
-    sparse_triple_diag,
-    spmv,
-)
+from .krylov import inner_solve_to_tol, minres, pcg
+from .mesh import ObservationSet, build_mesh
 from .spectral import (
     AmGmConstants,
-    ConditionReport,
     SpectralFilterModel,
-    TheoryViolationError,
     amgm_constants_exact,
     amgm_constants_from_filter,
     cond_bound,

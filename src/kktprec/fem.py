@@ -9,9 +9,9 @@ observation matrices, and image-to-field interpolation.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .mesh import MeshParameterError, NodalField, ObservationSet, PointLocationError, TriMesh
-from .sparse import SparseMatrix, sparse_add_scaled
 
 DEFAULT_NITSCHE_GAMMA = 10.0
 DEFAULT_REG_SHIFT = 0.1
@@ -50,11 +50,16 @@ def p1_gradients(xy: np.ndarray) -> np.ndarray:
     return np.column_stack([b, c]) / area2
 
 
-def _symmetrized(m: SparseMatrix) -> SparseMatrix:
-    return SparseMatrix.from_scipy((m.csr + m.csr.T) * 0.5)
+def _from_coo(shape, rows, cols, vals) -> sp.csr_matrix:
+    """Canonical CSR from triplets; duplicate (row, col) entries are summed."""
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.float64).tocsr()
 
 
-def _assemble_from_elements(mesh: TriMesh, element_for_parity) -> SparseMatrix:
+def _symmetrized(m: sp.csr_matrix) -> sp.csr_matrix:
+    return (m + m.T) * 0.5
+
+
+def _assemble_from_elements(mesh: TriMesh, element_for_parity) -> sp.csr_matrix:
     """Scatter per-parity element matrices; the structured mesh has only two
     distinct triangle geometries (even/odd index), so one 3x3 matrix each."""
     n = mesh.n_vertices
@@ -69,9 +74,7 @@ def _assemble_from_elements(mesh: TriMesh, element_for_parity) -> SparseMatrix:
                 rows.append(tris[:, i])
                 cols.append(tris[:, j])
                 vals.append(np.full(tris.shape[0], ke[i, j]))
-    return SparseMatrix.from_coo(
-        n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
+    return _from_coo((n, n), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
 
 
 def _parity_coords(mesh: TriMesh, parity: int) -> np.ndarray:
@@ -79,7 +82,7 @@ def _parity_coords(mesh: TriMesh, parity: int) -> np.ndarray:
     return mesh.vertices[tri]
 
 
-def assemble_mass(mesh: TriMesh) -> SparseMatrix:
+def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     """P1 mass matrix (exact integration)."""
     area = 0.5 * mesh.dx * mesh.dy
 
@@ -89,15 +92,15 @@ def assemble_mass(mesh: TriMesh) -> SparseMatrix:
     return _symmetrized(_assemble_from_elements(mesh, element))
 
 
-def lump_mass(w: SparseMatrix) -> np.ndarray:
+def lump_mass(w: sp.csr_matrix) -> np.ndarray:
     """Row-sum mass lumping; returns the diagonal as a vector."""
-    lumped = np.asarray(w.csr.sum(axis=1)).ravel()
+    lumped = np.asarray(w.sum(axis=1)).ravel()
     if np.any(lumped <= 0.0):
         raise NonpositiveLumpedMassError("row-sum lumping produced a nonpositive weight")
     return lumped
 
 
-def assemble_stiffness_neumann(mesh: TriMesh) -> SparseMatrix:
+def assemble_stiffness_neumann(mesh: TriMesh) -> sp.csr_matrix:
     """Pure stiffness matrix, no boundary terms (natural conditions)."""
 
     def element(parity):
@@ -130,7 +133,7 @@ def _boundary_edges(mesh: TriMesh):
 
 def assemble_stiffness_nitsche(
     mesh: TriMesh, gamma0: float = DEFAULT_NITSCHE_GAMMA, verify: bool = False
-) -> SparseMatrix:
+) -> sp.csr_matrix:
     """Stiffness matrix with homogeneous Dirichlet walls via symmetric Nitsche.
 
     The boundary terms per edge e with outward normal n are
@@ -172,13 +175,11 @@ def assemble_stiffness_nitsche(
         add(va, vb, np.full(m, gamma0 / 6.0))
         add(vb, va, np.full(m, gamma0 / 6.0))
 
-    boundary = SparseMatrix.from_coo(
-        n, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-    )
-    a = _symmetrized(sparse_add_scaled(base, boundary, 1.0, 1.0))
+    boundary = _from_coo((n, n), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
+    a = _symmetrized(base + boundary)
 
     if verify:
-        eigmin = float(np.linalg.eigvalsh(a.to_dense())[0])
+        eigmin = float(np.linalg.eigvalsh(a.toarray())[0])
         if eigmin <= 0.0:
             raise PenaltyTooSmallError(
                 f"Nitsche form indefinite (min eigenvalue {eigmin:.3e}); raise gamma0"
@@ -186,7 +187,7 @@ def assemble_stiffness_nitsche(
     return a
 
 
-def assemble_regularization(mesh: TriMesh, t: float = DEFAULT_REG_SHIFT) -> SparseMatrix:
+def assemble_regularization(mesh: TriMesh, t: float = DEFAULT_REG_SHIFT) -> sp.csr_matrix:
     """Neumann Laplacian plus t times the identity, in weak form: K + t*W.
 
     t must be positive; it removes the constant-function kernel of the
@@ -196,7 +197,7 @@ def assemble_regularization(mesh: TriMesh, t: float = DEFAULT_REG_SHIFT) -> Spar
         raise MeshParameterError("regularization shift t must be positive")
     k = assemble_stiffness_neumann(mesh)
     w = assemble_mass(mesh)
-    return sparse_add_scaled(k, w, 1.0, t)
+    return k + t * w
 
 
 def _barycentric_rows(mesh: TriMesh, points: np.ndarray):
@@ -229,14 +230,14 @@ def _barycentric_rows(mesh: TriMesh, points: np.ndarray):
     return rows, cols, vals
 
 
-def assemble_observation(mesh: TriMesh, obs: ObservationSet) -> SparseMatrix:
+def assemble_observation(mesh: TriMesh, obs: ObservationSet) -> sp.csr_matrix:
     """Pointwise evaluation matrix: row i holds the barycentric weights of
     observation point i in its containing triangle (at most 3 nonzeros,
     rows sum to one)."""
     if not (abs(obs.lx - mesh.lx) < 1e-12 and abs(obs.ly - mesh.ly) < 1e-12):
         raise PointLocationError("observation extents do not match the mesh")
     rows, cols, vals = _barycentric_rows(mesh, obs.points)
-    return SparseMatrix.from_coo(obs.n_obs, mesh.n_vertices, rows, cols, vals)
+    return _from_coo((obs.n_obs, mesh.n_vertices), rows, cols, vals)
 
 
 def interpolate_image(

@@ -21,19 +21,24 @@ kinds) and rho defaults to sqrt(alpha). MINRES with P needs only
 applications of P^{-1}, built here from cached factorizations or inner CG
 depending on the kind.
 
+Every block is a canonical scipy CSR matrix. KktSystem.matrix assembles K
+once per system; applying K (apply_kkt) is one sparse product with it. The
+operators handed to the Krylov solvers (kkt_operator, Preconditioner.
+as_operator, ReducedHessianOperator.as_operator,
+regularization_prec_operator) are plain callables.
+
 Every solve meant to be exact goes through one cached sparse LU
 (:class:`SparseLU`) refined against the sparse matrix: the reference KKT
 solve, the factored BDAL blocks and mass solves, the R*R solve of the
 baseline preconditioner, and the forward and adjoint PDE solves (one LU of
 A per ProblemOperators). Only the spectral verifier densifies, one n x n
-block of kkt_sparse at a time.
+block of KktSystem.matrix at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,17 +52,9 @@ from .fem import (
     assemble_stiffness_nitsche,
     lump_mass,
 )
-from .krylov import LinearOperator, inner_solve_to_tol, pcg
+from .krylov import Operator, inner_solve_to_tol, pcg
 from .mesh import ObservationSet, TriMesh
-from .sparse import (
-    DimensionMismatchError,
-    SparseLU,
-    SparseMatrix,
-    sparse_add_scaled,
-    sparse_transpose,
-    sparse_triple_diag,
-    spmv,
-)
+from .sparse import SparseLU
 
 BDAL_EXACT = "bdal-exact"
 BDAL_LUMPED_EXACT = "bdal-lumped-exact"
@@ -74,16 +71,27 @@ class UnknownPreconditionerError(ValueError):
     pass
 
 
+class DimensionMismatchError(ValueError):
+    """An input vector does not match the operator's dimension."""
+
+
+def _triple_product(a: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
+    """a^T diag(d) a, symmetrized exactly to kill last-ulp asymmetry from
+    summation order."""
+    prod = (a.T @ (sp.diags(d) @ a)).tocsr()
+    return (prod + prod.T) * 0.5
+
+
 @dataclass(frozen=True)
 class ProblemOperators:
     """Assembled discrete operators of one source-inversion instance."""
 
     mesh: TriMesh
-    mass: SparseMatrix
+    mass: sp.csr_matrix
     mass_lumped: np.ndarray
-    forward: SparseMatrix  # Nitsche stiffness, SPD
-    reg: SparseMatrix  # R*R = Neumann stiffness + t * mass, SPD
-    observation: SparseMatrix
+    forward: sp.csr_matrix  # Nitsche stiffness, SPD
+    reg: sp.csr_matrix  # R*R = Neumann stiffness + t * mass, SPD
+    observation: sp.csr_matrix
     obs: ObservationSet
     t: float
     gamma0: float
@@ -124,10 +132,10 @@ def assemble_problem(
 class KktSystem:
     """One assembled KKT system; blocks are stored unscaled, alpha separately."""
 
-    reg: SparseMatrix  # R*R (the (1,1) block is alpha * reg)
-    btb: SparseMatrix  # Bt B
-    forward: SparseMatrix  # A
-    mass: SparseMatrix  # W
+    reg: sp.csr_matrix  # R*R (the (1,1) block is alpha * reg)
+    btb: sp.csr_matrix  # Bt B
+    forward: sp.csr_matrix  # A
+    mass: sp.csr_matrix  # W
     alpha: float
     y: np.ndarray  # observed data
     rhs: np.ndarray
@@ -135,11 +143,20 @@ class KktSystem:
 
     @property
     def n(self) -> int:
-        return self.mass.nrows
+        return self.mass.shape[0]
 
     @property
     def dim(self) -> int:
         return 3 * self.n
+
+    @cached_property
+    def matrix(self) -> sp.csr_matrix:
+        """The 3n x 3n KKT matrix, assembled from its blocks on first use."""
+        w, a = self.mass, self.forward
+        return sp.bmat(
+            [[self.alpha * self.reg, None, -w], [None, self.btb, a], [-w, a, None]],
+            format="csr",
+        )
 
 
 def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
@@ -147,18 +164,15 @@ def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     y = np.asarray(y, dtype=np.float64)
-    if y.shape != (ops.observation.nrows,):
-        raise DimensionMismatchError(
-            f"data length {y.shape} does not match {ops.observation.nrows} observations"
-        )
+    n_obs = ops.observation.shape[0]
+    if y.shape != (n_obs,):
+        raise DimensionMismatchError(f"data length {y.shape} does not match {n_obs} observations")
     n = ops.n
-    bt = sparse_transpose(ops.observation)
-    btb = sparse_triple_diag(ops.observation, np.ones(ops.observation.nrows))
     rhs = np.zeros(3 * n)
-    rhs[n : 2 * n] = spmv(bt, y)
+    rhs[n : 2 * n] = ops.observation.T @ y
     return KktSystem(
         reg=ops.reg,
-        btb=btb,
+        btb=_triple_product(ops.observation, np.ones(n_obs)),
         forward=ops.forward,
         mass=ops.mass,
         alpha=alpha,
@@ -169,35 +183,15 @@ def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
 
 
 def apply_kkt(sys: KktSystem, z: np.ndarray) -> np.ndarray:
-    """Blockwise product of the KKT operator with (q, u, eta)."""
-    n = sys.n
+    """K (q, u, eta): one product with the assembled KKT matrix."""
     z = np.asarray(z, dtype=np.float64)
-    if z.shape != (3 * n,):
-        raise DimensionMismatchError(f"KKT operator expects length {3 * n}")
-    q, u, eta = z[:n], z[n : 2 * n], z[2 * n :]
-    out = np.empty(3 * n)
-    out[:n] = sys.alpha * spmv(sys.reg, q) - spmv(sys.mass, eta)
-    out[n : 2 * n] = spmv(sys.btb, u) + spmv(sys.forward, eta)
-    out[2 * n :] = -spmv(sys.mass, q) + spmv(sys.forward, u)
-    return out
+    if z.shape != (sys.dim,):
+        raise DimensionMismatchError(f"KKT operator expects length {sys.dim}")
+    return sys.matrix @ z
 
 
-def kkt_operator(sys: KktSystem) -> LinearOperator:
-    return LinearOperator(sys.dim, sys.dim, lambda z: apply_kkt(sys, z))
-
-
-def kkt_sparse(sys: KktSystem) -> sp.csc_matrix:
-    """The 3n x 3n KKT matrix assembled from its sparse blocks."""
-    w, a = sys.mass.csr, sys.forward.csr
-    return sp.bmat(
-        [[sys.alpha * sys.reg.csr, None, -w], [None, sys.btb.csr, a], [-w, a, None]],
-        format="csc",
-    )
-
-
-def kkt_dense(sys: KktSystem) -> np.ndarray:
-    """Materialize the 3n x 3n KKT matrix (desk scale)."""
-    return kkt_sparse(sys).toarray()
+def kkt_operator(sys: KktSystem) -> Operator:
+    return lambda z: apply_kkt(sys, z)
 
 
 def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
@@ -206,38 +200,30 @@ def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
     reasonably conditioned K implies ||K z - rhs|| <= tol * ||rhs||."""
     if float(np.linalg.norm(sys.rhs)) == 0.0:
         return np.zeros(sys.dim)
-    return SparseLU(kkt_sparse(sys), "KKT", tol)(sys.rhs)
+    return SparseLU(sys.matrix, "KKT", tol)(sys.rhs)
 
 
 @dataclass
 class Preconditioner:
-    """One preconditioner instance; apply the inverse via bdal_apply_inverse
-    or as_operator(). kind is one of PRECONDITIONER_KINDS."""
+    """One preconditioner instance; apply_inverse(r) = P^{-1} r, blockwise.
+    kind is one of PRECONDITIONER_KINDS."""
 
     kind: str
     rho: float
     inner_tol: float
-    dim: int
-    _apply_inverse: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    apply_inverse: Operator = field(repr=False)
 
-    def as_operator(self) -> LinearOperator:
-        return LinearOperator(self.dim, self.dim, self._apply_inverse)
+    def as_operator(self) -> Operator:
+        return self.apply_inverse
 
 
 def _bdal_blocks(sys: KktSystem, rho: float, lumped: bool):
     """Assemble block 1 and block 2 (explicit form) for the given mass choice."""
-    if lumped:
-        w_diag = sys.ops.mass_lumped
-        mass_term = SparseMatrix.diagonal(w_diag)
-    else:
-        w_diag = None
-        mass_term = sys.mass
-    block1 = sparse_add_scaled(sys.reg, mass_term, sys.alpha, rho)
-    lumped_inv = 1.0 / (w_diag if w_diag is not None else sys.ops.mass_lumped)
-    block2_lumped = sparse_add_scaled(
-        sys.btb, sparse_triple_diag(sys.forward, lumped_inv), 1.0, rho
-    )
-    return block1, block2_lumped, w_diag
+    w_diag = sys.ops.mass_lumped
+    mass_term = sp.diags(w_diag) if lumped else sys.mass
+    block1 = sys.alpha * sys.reg + rho * mass_term
+    block2_lumped = sys.btb + rho * _triple_product(sys.forward, 1.0 / w_diag)
+    return block1, block2_lumped
 
 
 def build_preconditioner(
@@ -273,7 +259,7 @@ def build_preconditioner(
         # and rho, and never applies this preconditioner.
         @cache
         def factors() -> tuple[SparseLU, SparseLU, SparseLU]:
-            block1, block2_lumped, _ = _bdal_blocks(sys, rho, lumped=False)
+            block1, block2_lumped = _bdal_blocks(sys, rho, lumped=False)
             return (
                 SparseLU(block1, "block 1", EXACT_SOLVE_TOL),
                 SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL),
@@ -287,28 +273,23 @@ def build_preconditioner(
         # explicit lumped block is spectrally close, so its factorization
         # preconditions the nested CG.
         def apply_block2(z: np.ndarray) -> np.ndarray:
-            az = spmv(sys.forward, z)
-            return spmv(sys.btb, z) + rho * spmv(sys.forward, mass_solve(az))
-
-        block2_op = LinearOperator(n, n, apply_block2)
-        guide_op = LinearOperator(n, n, lambda r: factors()[2](r))
+            return sys.btb @ z + rho * (sys.forward @ mass_solve(sys.forward @ z))
 
         def solve2(r: np.ndarray) -> np.ndarray:
-            report = pcg(block2_op, guide_op, r, tol=EXACT_SOLVE_TOL, maxit=50 * n)
-            return report.solution
+            return pcg(apply_block2, factors()[2], r, tol=EXACT_SOLVE_TOL, maxit=50 * n).solution
 
         def solve3(r: np.ndarray) -> np.ndarray:
             return rho * mass_solve(r)
 
     else:
-        block1, block2, w_diag = _bdal_blocks(sys, rho, lumped=True)
+        block1, block2 = _bdal_blocks(sys, rho, lumped=True)
         if kind == BDAL_LUMPED_EXACT:
             solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL)
             solve2 = SparseLU(block2, "block 2", EXACT_SOLVE_TOL)
         else:
             solve1 = lambda r: inner_solve_to_tol(block1, r, inner_tol)
             solve2 = lambda r: inner_solve_to_tol(block2, r, inner_tol)
-        inv_w = 1.0 / w_diag
+        inv_w = 1.0 / sys.ops.mass_lumped
 
         def solve3(r: np.ndarray) -> np.ndarray:
             return rho * (inv_w * r)
@@ -323,14 +304,7 @@ def build_preconditioner(
         out[2 * n :] = solve3(r[2 * n :])
         return out
 
-    return Preconditioner(
-        kind=kind, rho=rho, inner_tol=inner_tol, dim=3 * n, _apply_inverse=apply_inverse
-    )
-
-
-def bdal_apply_inverse(p: Preconditioner, r: np.ndarray) -> np.ndarray:
-    """x = P^{-1} r, blockwise."""
-    return p._apply_inverse(r)
+    return Preconditioner(kind=kind, rho=rho, inner_tol=inner_tol, apply_inverse=apply_inverse)
 
 
 @dataclass
@@ -343,31 +317,35 @@ class ReducedHessianOperator:
     """
 
     forward_solver: SparseLU
-    mass: SparseMatrix
-    btb: SparseMatrix
-    reg: SparseMatrix
+    mass: sp.csr_matrix
+    btb: sp.csr_matrix
+    reg: sp.csr_matrix
     alpha: float
-    _reg_solver: SparseLU | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
-        return self.mass.nrows
+        return self.mass.shape[0]
+
+    @cached_property
+    def reg_solver(self) -> SparseLU:
+        """LU of R*R, factored on first use, refined to backward error 1e-12."""
+        return SparseLU(self.reg, "R*R", EXACT_SOLVE_TOL)
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.n,):
             raise DimensionMismatchError(f"reduced Hessian expects length {self.n}")
-        u = self.forward_solver(spmv(self.mass, q))
-        w = self.forward_solver(spmv(self.btb, u))
-        return spmv(self.mass, w) + self.alpha * spmv(self.reg, q)
+        u = self.forward_solver(self.mass @ q)
+        w = self.forward_solver(self.btb @ u)
+        return self.mass @ w + self.alpha * (self.reg @ q)
 
-    def as_operator(self) -> LinearOperator:
-        return LinearOperator(self.n, self.n, self.apply)
+    def as_operator(self) -> Operator:
+        return self.apply
 
-    def rhs(self, y: np.ndarray, observation: SparseMatrix) -> np.ndarray:
+    def rhs(self, y: np.ndarray, observation: sp.csr_matrix) -> np.ndarray:
         """Reduced right-hand side J^T y = W A^{-1} B^T y."""
-        bty = spmv(sparse_transpose(observation), np.asarray(y, dtype=np.float64))
-        return spmv(self.mass, self.forward_solver(bty))
+        bty = observation.T @ np.asarray(y, dtype=np.float64)
+        return self.mass @ self.forward_solver(bty)
 
 
 def reduced_hessian(sys: KktSystem) -> ReducedHessianOperator:
@@ -380,27 +358,21 @@ def reduced_hessian(sys: KktSystem) -> ReducedHessianOperator:
     )
 
 
-def reduced_hessian_apply(h: ReducedHessianOperator, q: np.ndarray) -> np.ndarray:
-    return h.apply(q)
+def regularization_prec_operator(h: ReducedHessianOperator) -> Operator:
+    """The baseline preconditioner: r -> (alpha * R*R)^{-1} r through h's
+    cached LU of R*R."""
 
+    def apply(r: np.ndarray) -> np.ndarray:
+        r = np.asarray(r, dtype=np.float64)
+        if r.shape != (h.n,):
+            raise DimensionMismatchError(f"regularization preconditioner expects length {h.n}")
+        return h.reg_solver(r / h.alpha)
 
-def regularization_prec_apply(h: ReducedHessianOperator, r: np.ndarray) -> np.ndarray:
-    """Solve alpha * (R*R) x = r with a cached sparse LU refined to backward
-    error 1e-12; the baseline preconditioner."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (h.n,):
-        raise DimensionMismatchError(f"regularization preconditioner expects length {h.n}")
-    if h._reg_solver is None:
-        h._reg_solver = SparseLU(h.reg, "R*R", EXACT_SOLVE_TOL)
-    return h._reg_solver(r / h.alpha)
-
-
-def regularization_prec_operator(h: ReducedHessianOperator) -> LinearOperator:
-    return LinearOperator(h.n, h.n, lambda r: regularization_prec_apply(h, r))
+    return apply
 
 
 def synthesize_data(ops: ProblemOperators, q_true: np.ndarray) -> np.ndarray:
     """Noise-free observations of the state generated by q_true; the forward
     solve meets ||A u - W q|| <= EXACT_SOLVE_TOL * ||W q|| or raises."""
-    u_true = ops.forward_solver(spmv(ops.mass, np.asarray(q_true, dtype=np.float64)))
-    return spmv(ops.observation, u_true)
+    u_true = ops.forward_solver(ops.mass @ np.asarray(q_true, dtype=np.float64))
+    return ops.observation @ u_true

@@ -1,11 +1,13 @@
 """Krylov solvers: preconditioned MINRES, preconditioned CG, and the inner
 Jacobi-CG used for subsidiary solves.
 
-Solvers never form matrices; they see operators through
-:class:`LinearOperator` and apply the preconditioner's inverse once per
-iteration. Convergence is measured in the preconditioned residual norm
+minres and pcg never form matrices. The operator and the preconditioner's
+inverse are plain callables x -> y on 1-D float64 arrays; the problem
+dimension is read from the right-hand side. Each iteration applies each of
+them once. Convergence is measured in the preconditioned residual norm
 sqrt(r^T M^{-1} r), which for MINRES is the quantity its recurrence
-minimizes.
+minimizes. The custom loops exist for what scipy's solvers do not return:
+the per-iterate residual and error histories.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
-from .sparse import SparseMatrix, spmv
+Operator = Callable[[np.ndarray], np.ndarray]
 
 
 class PreconditionerNotSpdError(ValueError):
@@ -34,14 +37,18 @@ class InnerSolveError(RuntimeError):
         super().__init__(message)
         self.achieved_residual = achieved_residual
 
+    def __reduce__(self):
+        return type(self), (*self.args, self.achieved_residual)
+
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """A linear map described only by its action."""
+    """A callable with declared input and output lengths, checked on every
+    call; minres and pcg accept it like any other callable."""
 
     dim_in: int
     dim_out: int
-    apply: Callable[[np.ndarray], np.ndarray]
+    apply: Operator
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -51,17 +58,6 @@ class LinearOperator:
         if y.shape != (self.dim_out,):
             raise ValueError(f"operator returned length {y.shape}, expected {self.dim_out}")
         return y
-
-    @staticmethod
-    def from_matrix(m) -> "LinearOperator":
-        if isinstance(m, SparseMatrix):
-            return LinearOperator(m.ncols, m.nrows, lambda x: spmv(m, x))
-        md = np.asarray(m, dtype=np.float64)
-        return LinearOperator(md.shape[1], md.shape[0], lambda x: md @ x)
-
-    @staticmethod
-    def identity(n: int) -> "LinearOperator":
-        return LinearOperator(n, n, lambda x: x.copy())
 
 
 @dataclass
@@ -102,13 +98,13 @@ def _error_tracker(reference, select):
 
 
 def minres(
-    op: LinearOperator,
-    prec: LinearOperator,
+    op: Operator,
+    prec: Operator,
     b: np.ndarray,
     tol: float = 1e-10,
     maxit: int = 500,
     reference: np.ndarray | None = None,
-    select: Callable[[np.ndarray], np.ndarray] | None = None,
+    select: Operator | None = None,
     callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> SolveReport:
     """Preconditioned MINRES for symmetric (possibly indefinite) systems.
@@ -119,11 +115,9 @@ def minres(
     not raised.
     """
     b = np.asarray(b, dtype=np.float64)
-    n = op.dim_in
-    if op.dim_out != n:
-        raise ValueError("minres needs a square operator")
-    if b.shape != (n,):
-        raise ValueError(f"rhs length {b.shape} does not match operator dim {n}")
+    if b.ndim != 1:
+        raise ValueError(f"rhs must be a vector, got shape {b.shape}")
+    n = b.size
 
     err = _error_tracker(reference, select)
     x = np.zeros(n)
@@ -229,13 +223,13 @@ def minres(
 
 
 def pcg(
-    op: LinearOperator,
-    prec: LinearOperator,
+    op: Operator,
+    prec: Operator,
     b: np.ndarray,
     tol: float = 1e-10,
     maxit: int = 500,
     reference: np.ndarray | None = None,
-    select: Callable[[np.ndarray], np.ndarray] | None = None,
+    select: Operator | None = None,
     callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> SolveReport:
     """Preconditioned conjugate gradients for SPD systems.
@@ -243,11 +237,9 @@ def pcg(
     Raises IndefiniteOperatorError on nonpositive curvature p^T A p.
     """
     b = np.asarray(b, dtype=np.float64)
-    n = op.dim_in
-    if op.dim_out != n:
-        raise ValueError("pcg needs a square operator")
-    if b.shape != (n,):
-        raise ValueError(f"rhs length {b.shape} does not match operator dim {n}")
+    if b.ndim != 1:
+        raise ValueError(f"rhs must be a vector, got shape {b.shape}")
+    n = b.size
 
     err = _error_tracker(reference, select)
     x = np.zeros(n)
@@ -314,7 +306,7 @@ def pcg(
 
 
 def inner_solve_to_tol(
-    m: SparseMatrix, b: np.ndarray, tol: float, maxit: int | None = None
+    m: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int | None = None
 ) -> np.ndarray:
     """Jacobi-preconditioned CG on a sparse SPD matrix.
 
@@ -323,10 +315,10 @@ def inner_solve_to_tol(
     achieved relative residual.
     """
     b = np.asarray(b, dtype=np.float64)
-    n = m.nrows
-    if m.ncols != n or b.shape != (n,):
+    n = m.shape[0]
+    if m.shape != (n, n) or b.shape != (n,):
         raise ValueError("inner solve needs a square matrix and a matching rhs")
-    d = m.diag()
+    d = m.diagonal()
     if np.any(d <= 0.0):
         raise NotImplementedError("inner solve expects a positive diagonal (SPD matrix)")
     inv_d = 1.0 / d
@@ -336,7 +328,6 @@ def inner_solve_to_tol(
     if maxit is None:
         maxit = 20 * n + 200
 
-    a = m.csr
     x = np.zeros(n)
     r = b.copy()
     z = inv_d * r
@@ -344,7 +335,7 @@ def inner_solve_to_tol(
     p = z.copy()
     achieved = 1.0
     for it in range(1, maxit + 1):
-        ap = a @ p
+        ap = m @ p
         pap = float(p @ ap)
         if pap <= 0.0:
             raise IndefiniteOperatorError(f"inner CG curvature {pap:.3e} at iteration {it}")
@@ -355,7 +346,7 @@ def inner_solve_to_tol(
         if achieved <= tol:
             # Recurrence residual can drift from the true one near machine
             # precision; recompute before declaring victory.
-            true_r = b - a @ x
+            true_r = b - m @ x
             achieved = float(np.linalg.norm(true_r)) / norm_b
             if achieved <= tol:
                 return x

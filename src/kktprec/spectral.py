@@ -45,8 +45,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky, solve_triangular
 
-from .kkt import BDAL_EXACT, KktSystem, Preconditioner, kkt_sparse
-from .dense import NotSpdError, symmetric_eig
+from .kkt import BDAL_EXACT, KktSystem, Preconditioner
 
 
 class AssumptionViolationError(ValueError):
@@ -55,6 +54,9 @@ class AssumptionViolationError(ValueError):
     def __init__(self, message: str, mode: int):
         super().__init__(message)
         self.mode = mode
+
+    def __reduce__(self):
+        return type(self), (*self.args, self.mode)
 
 
 class IllPosedModeError(ValueError):
@@ -67,6 +69,14 @@ class TheoryViolationError(RuntimeError):
     def __init__(self, message: str, report: "ConditionReport"):
         super().__init__(message)
         self.report = report
+
+    def __reduce__(self):
+        return type(self), (*self.args, self.report)
+
+
+class NotSpdError(ValueError):
+    """Cholesky failed: a preconditioner block is not symmetric positive
+    definite."""
 
 
 class DeskScaleError(ValueError):
@@ -264,10 +274,8 @@ def laplacian_source_model(
 
 
 def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    e = symmetric_eig(m)
-    vals = np.clip(e.eigenvalues, 0.0, None)
-    q = e.eigenvectors
-    return (q * np.sqrt(vals)) @ q.T
+    vals, q = np.linalg.eigh(m)
+    return (q * np.sqrt(np.clip(vals, 0.0, None))) @ q.T
 
 
 def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
@@ -314,11 +322,11 @@ def _bdal_factors(sys: KktSystem, prec: Preconditioner) -> list[np.ndarray]:
             f"(got kind {prec.kind!r}); the provable structure requires it"
         )
     rho = prec.rho
-    w = sys.mass.to_dense()
-    l1 = _cholesky(sys.alpha * sys.reg.to_dense() + rho * w, "P1")
+    w = sys.mass.toarray()
+    l1 = _cholesky(sys.alpha * sys.reg.toarray() + rho * w, "P1")
     l3 = _cholesky((1.0 / rho) * w, "P3")
-    c = solve_triangular(l3, sys.forward.to_dense(), lower=True, check_finite=False)
-    return [l1, _cholesky(sys.btb.to_dense() + c.T @ c, "P2"), l3]
+    c = solve_triangular(l3, sys.forward.toarray(), lower=True, check_finite=False)
+    return [l1, _cholesky(sys.btb.toarray() + c.T @ c, "P2"), l3]
 
 
 def preconditioned_kkt_dense(
@@ -327,7 +335,7 @@ def preconditioned_kkt_dense(
     """Dense symmetric preconditioned KKT operator (desk scale only)."""
     if sys.dim > max_dim:
         raise DeskScaleError(f"dense verification refused at dim {sys.dim} > {max_dim}")
-    return _congruence(kkt_sparse(sys), _bdal_factors(sys, prec))
+    return _congruence(sys.matrix, _bdal_factors(sys, prec))
 
 
 def _coupling(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,7 +346,7 @@ def coupling_blocks(sys: KktSystem, prec: Preconditioner) -> tuple[np.ndarray, n
     """The scaled coupling blocks F = L3^(-1) (-W) L1^(-T) (parameter) and
     G = L3^(-1) A L2^(-T) (state) of E. The symmetric-root blocks are Q F V1
     and Q G V2 with Q, V1, V2 orthogonal, so no derived constant changes."""
-    return _coupling(_congruence(kkt_sparse(sys), _bdal_factors(sys, prec)), sys.n)
+    return _coupling(_congruence(sys.matrix, _bdal_factors(sys, prec)), sys.n)
 
 
 def _check(label: str, ok: bool, failures: list[str]) -> None:

@@ -34,7 +34,6 @@ from kktprec.kkt import (
 from kktprec.krylov import inner_solve_to_tol, minres, pcg
 from kktprec.mesh import build_mesh
 from kktprec.rng import SplitMix64
-from kktprec.sparse import spmv
 from kktprec.spectral import (
     amgm_constants_exact,
     amgm_constants_from_filter,
@@ -198,9 +197,9 @@ def _poisson_l2_error(nx, ny, lx=1.45, ly=1.0):
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     u_star = np.sin(np.pi * x / lx) * np.sin(np.pi * y / ly)
     f = np.pi**2 * (1.0 / lx**2 + 1.0 / ly**2) * u_star
-    u_h = inner_solve_to_tol(a, spmv(w, f), 1e-12)
+    u_h = inner_solve_to_tol(a, w @ f, 1e-12)
     e = u_h - u_star
-    return float(np.sqrt(e @ spmv(w, e)))
+    return float(np.sqrt(e @ (w @ e)))
 
 
 def test_criterion_7_fem_convergence_rate():
@@ -224,7 +223,7 @@ def test_criterion_8_solver_equivalence():
     q_minres = rep_m.solution[:n]
 
     h = reduced_hessian(sys)
-    rhs = spmv(sys.mass, inner_solve_to_tol(sys.forward, sys.rhs[n : 2 * n], 1e-12))
+    rhs = sys.mass @ inner_solve_to_tol(sys.forward, sys.rhs[n : 2 * n], 1e-12)
     rep_c = pcg(h.as_operator(), regularization_prec_operator(h), rhs, tol=1e-12, maxit=2000)
     q_cg = rep_c.solution
 

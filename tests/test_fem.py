@@ -11,7 +11,6 @@ from kktprec import (
     inner_solve_to_tol,
     interpolate_image,
     lump_mass,
-    spmv,
 )
 from kktprec.fem import (
     PenaltyTooSmallError,
@@ -28,16 +27,16 @@ from kktprec.mesh import MeshParameterError, PointLocationError
 def test_mass_partition_of_unity():
     mesh = build_mesh(1.0, 1.0, 1, 1)
     w = assemble_mass(mesh)
-    assert abs(w.to_dense().sum() - 1.0) <= 1e-12
+    assert abs(w.toarray().sum() - 1.0) <= 1e-12
 
 
 def test_mass_total_sum_rectangle():
     mesh = build_mesh(1.45, 1.0, 5, 4)
-    assert abs(assemble_mass(mesh).to_dense().sum() - 1.45) <= 1e-12
+    assert abs(assemble_mass(mesh).toarray().sum() - 1.45) <= 1e-12
 
 
 def test_mass_exact_symmetry():
-    w = assemble_mass(build_mesh(2.0, 1.0, 4, 3)).to_dense()
+    w = assemble_mass(build_mesh(2.0, 1.0, 4, 3)).toarray()
     assert np.array_equal(w, w.T)
 
 
@@ -60,7 +59,7 @@ def test_stiffness_element_unit_right_triangle():
 
 def test_mass_spd():
     w = assemble_mass(build_mesh(1.0, 1.0, 3, 3))
-    eigs = np.linalg.eigvalsh(w.to_dense())
+    eigs = np.linalg.eigvalsh(w.toarray())
     assert eigs[0] > 0.0
 
 
@@ -92,19 +91,19 @@ def test_lump_corner_entries():
 
 def test_lump_equals_row_sums():
     w = assemble_mass(build_mesh(1.45, 1.0, 4, 3))
-    assert np.allclose(lump_mass(w), w.to_dense().sum(axis=1), atol=1e-15)
+    assert np.allclose(lump_mass(w), w.toarray().sum(axis=1), atol=1e-15)
 
 
 # --- Nitsche stiffness -------------------------------------------------------
 
 def test_nitsche_exact_symmetry():
-    a = assemble_stiffness_nitsche(build_mesh(1.0, 1.0, 4, 4)).to_dense()
+    a = assemble_stiffness_nitsche(build_mesh(1.0, 1.0, 4, 4)).toarray()
     assert np.array_equal(a, a.T)
 
 
 def test_nitsche_positive_definite_at_default_penalty():
     a = assemble_stiffness_nitsche(build_mesh(1.45, 1.0, 4, 3), verify=True)
-    assert np.linalg.eigvalsh(a.to_dense())[0] > 0.0
+    assert np.linalg.eigvalsh(a.toarray())[0] > 0.0
 
 
 def test_nitsche_rejects_tiny_penalty():
@@ -125,9 +124,9 @@ def poisson_l2_error(nx, ny, lx=1.0, ly=1.0, gamma0=10.0):
     f = np.pi**2 * (1.0 / lx**2 + 1.0 / ly**2) * u_star
     a = assemble_stiffness_nitsche(mesh, gamma0=gamma0)
     w = assemble_mass(mesh)
-    u_h = inner_solve_to_tol(a, spmv(w, f), 1e-12)
+    u_h = inner_solve_to_tol(a, w @ f, 1e-12)
     e = u_h - u_star
-    return float(np.sqrt(e @ spmv(w, e)))
+    return float(np.sqrt(e @ (w @ e)))
 
 
 def test_manufactured_convergence_rate():
@@ -145,7 +144,7 @@ def test_penalty_limit_pins_boundary():
 
     def boundary_max(gamma0):
         a = assemble_stiffness_nitsche(mesh, gamma0=gamma0)
-        u = inner_solve_to_tol(a, spmv(w, f), 1e-12)
+        u = inner_solve_to_tol(a, w @ f, 1e-12)
         return float(np.abs(u[bdry]).max())
 
     b_small = boundary_max(1e2)
@@ -162,14 +161,14 @@ def test_regularization_annihilates_constants_up_to_shift():
     reg = assemble_regularization(mesh, t=0.1)
     w = assemble_mass(mesh)
     ones = np.ones(mesh.n_vertices)
-    assert np.max(np.abs(spmv(reg, ones) - 0.1 * spmv(w, ones))) <= 1e-13
+    assert np.max(np.abs(reg @ ones - 0.1 * (w @ ones))) <= 1e-13
 
 
 def test_regularization_hand_assembled_single_cell():
     # 1x1-cell unit square, t=1: compare against element-by-element hand
     # assembly of stiffness + mass into the 4-vertex dense matrix
     mesh = build_mesh(1.0, 1.0, 1, 1)
-    reg = assemble_regularization(mesh, t=1.0).to_dense()
+    reg = assemble_regularization(mesh, t=1.0).toarray()
     expected = np.zeros((4, 4))
     for tri in mesh.triangles:
         xy = mesh.vertices[tri]
@@ -182,7 +181,7 @@ def test_regularization_hand_assembled_single_cell():
 
 def test_regularization_spd():
     reg = assemble_regularization(build_mesh(1.0, 1.0, 4, 4), t=0.1)
-    assert np.linalg.eigvalsh(reg.to_dense())[0] > 0.0
+    assert np.linalg.eigvalsh(reg.toarray())[0] > 0.0
 
 
 def test_regularization_rejects_nonpositive_shift():
@@ -192,9 +191,9 @@ def test_regularization_rejects_nonpositive_shift():
 
 def test_regularization_equals_neumann_plus_shifted_mass():
     mesh = build_mesh(1.45, 1.0, 3, 3)
-    reg = assemble_regularization(mesh, t=0.25).to_dense()
-    k = assemble_stiffness_neumann(mesh).to_dense()
-    w = assemble_mass(mesh).to_dense()
+    reg = assemble_regularization(mesh, t=0.25).toarray()
+    k = assemble_stiffness_neumann(mesh).toarray()
+    w = assemble_mass(mesh).toarray()
     assert np.allclose(reg, k + 0.25 * w, atol=1e-14)
 
 
@@ -204,7 +203,7 @@ def test_observation_row_at_vertex():
     mesh = build_mesh(1.0, 1.0, 2, 2)
     j = mesh.vertex_index(1, 1)
     obs = ObservationSet(points=mesh.vertices[[j]], lx=1.0, ly=1.0)
-    row = assemble_observation(mesh, obs).to_dense()[0]
+    row = assemble_observation(mesh, obs).toarray()[0]
     e_j = np.zeros(mesh.n_vertices)
     e_j[j] = 1.0
     assert np.allclose(row, e_j, atol=1e-14)
@@ -215,7 +214,7 @@ def test_observation_row_at_centroid():
     tri = mesh.triangles[0]
     centroid = mesh.vertices[tri].mean(axis=0)
     obs = ObservationSet(points=centroid[None, :], lx=1.0, ly=1.0)
-    row = assemble_observation(mesh, obs).to_dense()[0]
+    row = assemble_observation(mesh, obs).toarray()[0]
     expected = np.zeros(mesh.n_vertices)
     expected[tri] = 1.0 / 3.0
     assert np.allclose(row, expected, atol=1e-13)
@@ -225,7 +224,7 @@ def test_observation_row_at_edge_midpoint():
     # center of a cell lies on the shared diagonal: two weights of 1/2
     mesh = build_mesh(1.0, 1.0, 2, 2)
     point = np.array([[0.25, 0.25]])
-    row = assemble_observation(mesh, ObservationSet(points=point, lx=1.0, ly=1.0)).to_dense()[0]
+    row = assemble_observation(mesh, ObservationSet(points=point, lx=1.0, ly=1.0)).toarray()[0]
     nz = row[row > 1e-13]
     assert nz.size == 2
     assert np.allclose(nz, 0.5, atol=1e-13)
@@ -236,7 +235,7 @@ def test_observation_rows_sum_to_one():
     rng = np.random.default_rng(2)
     pts = np.column_stack([rng.uniform(0.01, 1.44, 40), rng.uniform(0.01, 0.99, 40)])
     b = assemble_observation(mesh, ObservationSet(points=pts, lx=1.45, ly=1.0))
-    sums = b.to_dense().sum(axis=1)
+    sums = b.toarray().sum(axis=1)
     assert np.max(np.abs(sums - 1.0)) <= 1e-13
     # at most 3 entries per row
     assert np.max(np.diff(b.indptr)) <= 3
@@ -251,7 +250,7 @@ def test_observation_converges_to_point_values():
     for n in (4, 8, 16, 32):
         mesh = build_mesh(1.0, 1.0, n, n)
         b = assemble_observation(mesh, ObservationSet(points=pts, lx=1.0, ly=1.0))
-        vals = spmv(b, f(mesh.vertices[:, 0], mesh.vertices[:, 1]))
+        vals = b @ f(mesh.vertices[:, 0], mesh.vertices[:, 1])
         errs.append(np.max(np.abs(vals - f(pts[:, 0], pts[:, 1]))))
     assert errs[-1] < errs[0]
     assert errs[-1] <= 5e-3

@@ -11,7 +11,6 @@ from helpers import splitmix64_reference
 from kktprec import harness, parallel
 from kktprec.cli import EXIT_ERROR, EXIT_THEORY_VIOLATION, main
 from kktprec.config import ExperimentConfig
-from kktprec.dense import NotSpdError
 from kktprec.formats import read_pgm, write_observations
 from kktprec.harness import (
     CSV_COLUMNS,
@@ -23,7 +22,7 @@ from kktprec.harness import (
     synth_source,
 )
 from kktprec.mesh import build_mesh
-from kktprec.spectral import TheoryViolationError
+from kktprec.spectral import NotSpdError, TheoryViolationError
 
 
 # ---------------------------------------------------------------- sampling

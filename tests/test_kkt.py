@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 
 from helpers import make_instance, probe_columns
 from kktprec import (
@@ -9,32 +11,25 @@ from kktprec import (
     BDAL_LUMPED_EXACT,
     BDAL_LUMPED_INEXACT,
     REDUCED_REGULARIZATION,
-    SparseMatrix,
     apply_kkt,
     assemble_problem,
-    bdal_apply_inverse,
     build_mesh,
     build_kkt,
     build_preconditioner,
-    dense_solve_symmetric_indefinite,
     generate_observations,
     minres,
     pcg,
     reduced_hessian,
-    reduced_hessian_apply,
     reference_solution,
-    regularization_prec_apply,
-    spmv,
     synth_source,
     synthesize_data,
 )
-from kktprec.dense import SingularMatrixError
 from kktprec.kkt import (
+    DimensionMismatchError,
     UnknownPreconditionerError,
-    kkt_dense,
     regularization_prec_operator,
 )
-from kktprec.sparse import DimensionMismatchError
+from kktprec.sparse import SingularMatrixError
 
 
 def test_zero_data_zero_solution(kkt_2x2):
@@ -65,8 +60,8 @@ def test_apply_multiplier_unit_vector(kkt_2x2):
         out = apply_kkt(kkt_2x2, z)
         e_k = np.zeros(n)
         e_k[k] = 1.0
-        assert np.allclose(out[:n], -spmv(kkt_2x2.mass, e_k), atol=1e-15)
-        assert np.allclose(out[n:2 * n], spmv(kkt_2x2.forward, e_k), atol=1e-15)
+        assert np.allclose(out[:n], -(kkt_2x2.mass @ e_k), atol=1e-15)
+        assert np.allclose(out[n:2 * n], kkt_2x2.forward @ e_k, atol=1e-15)
         assert np.all(out[2 * n:] == 0.0)
 
 
@@ -84,7 +79,7 @@ def test_apply_symmetry(kkt_2x2):
 
 
 def test_dense_matches_operator_probing(kkt_2x2):
-    k = kkt_dense(kkt_2x2)
+    k = kkt_2x2.matrix.toarray()
     probed = probe_columns(lambda z: apply_kkt(kkt_2x2, z), kkt_2x2.dim)
     scale = np.max(np.abs(k))
     assert np.max(np.abs(k - probed)) <= 1e-13 * scale
@@ -93,7 +88,7 @@ def test_dense_matches_operator_probing(kkt_2x2):
 
 def test_bdal_zero_maps_to_zero(kkt_2x2):
     p = build_preconditioner(kkt_2x2, BDAL_LUMPED_EXACT)
-    assert np.all(bdal_apply_inverse(p, np.zeros(kkt_2x2.dim)) == 0.0)
+    assert np.all(p.apply_inverse(np.zeros(kkt_2x2.dim)) == 0.0)
 
 
 def test_bdal_lumped_third_block_closed_form(kkt_2x2):
@@ -103,7 +98,7 @@ def test_bdal_lumped_third_block_closed_form(kkt_2x2):
     w = rng.standard_normal(n)
     r = np.zeros(3 * n)
     r[2 * n:] = w
-    out = bdal_apply_inverse(p, r)
+    out = p.apply_inverse(r)
     assert np.all(out[:2 * n] == 0.0)
     expected = p.rho * w / kkt_2x2.ops.mass_lumped
     assert np.allclose(out[2 * n:], expected, rtol=5e-15, atol=0.0)
@@ -114,7 +109,7 @@ def test_bdal_spd_quadratic_form(kkt_4x4):
     rng = np.random.default_rng(14)
     for _ in range(100):
         r = rng.standard_normal(kkt_4x4.dim)
-        assert r @ bdal_apply_inverse(p, r) > 0.0
+        assert r @ p.apply_inverse(r) > 0.0
 
 
 def test_bdal_apply_symmetric(kkt_4x4):
@@ -123,8 +118,8 @@ def test_bdal_apply_symmetric(kkt_4x4):
         rng = np.random.default_rng(15)
         r1 = rng.standard_normal(kkt_4x4.dim)
         r2 = rng.standard_normal(kkt_4x4.dim)
-        lhs = r1 @ bdal_apply_inverse(p, r2)
-        rhs = r2 @ bdal_apply_inverse(p, r1)
+        lhs = r1 @ p.apply_inverse(r2)
+        rhs = r2 @ p.apply_inverse(r1)
         assert abs(lhs - rhs) <= 1e-11 * max(abs(lhs), 1.0)
 
 
@@ -133,8 +128,8 @@ def test_bdal_linear(kkt_2x2):
     rng = np.random.default_rng(16)
     r1 = rng.standard_normal(kkt_2x2.dim)
     r2 = rng.standard_normal(kkt_2x2.dim)
-    combined = bdal_apply_inverse(p, 2.0 * r1 - 3.0 * r2)
-    parts = 2.0 * bdal_apply_inverse(p, r1) - 3.0 * bdal_apply_inverse(p, r2)
+    combined = p.apply_inverse(2.0 * r1 - 3.0 * r2)
+    parts = 2.0 * p.apply_inverse(r1) - 3.0 * p.apply_inverse(r2)
     assert np.allclose(combined, parts, rtol=1e-12, atol=1e-14)
 
 
@@ -148,7 +143,7 @@ def test_rho_default_scaling_with_alpha(kkt_2x2):
     for alpha in (1e-2, 2e-2):
         sys = build_kkt(kkt_2x2.ops, alpha=alpha, y=np.zeros(3))
         p = build_preconditioner(sys, BDAL_LUMPED_EXACT)
-        outs[alpha] = bdal_apply_inverse(p, r)[2 * n:]
+        outs[alpha] = p.apply_inverse(r)[2 * n:]
     ratio = outs[2e-2] / outs[1e-2]
     assert np.allclose(ratio, np.sqrt(2.0), rtol=1e-14, atol=0.0)
 
@@ -193,8 +188,8 @@ def test_reduced_hessian_alpha_dominance(kkt_2x2):
     for alpha in (1.0, 1e4, 1e8):
         sys = build_kkt(kkt_2x2.ops, alpha=alpha, y=np.zeros(3))
         h = reduced_hessian(sys)
-        reg_part = alpha * spmv(sys.reg, q)
-        ratios.append(np.linalg.norm(reduced_hessian_apply(h, q) - reg_part)
+        reg_part = alpha * (sys.reg @ q)
+        ratios.append(np.linalg.norm(h.apply(q) - reg_part)
                       / np.linalg.norm(reg_part))
     assert ratios[2] < ratios[1] < ratios[0]
     assert ratios[2] <= 1e-6
@@ -205,19 +200,19 @@ def test_reduced_hessian_symmetric(kkt_2x2):
     rng = np.random.default_rng(19)
     x = rng.standard_normal(h.n)
     y = rng.standard_normal(h.n)
-    lhs = x @ reduced_hessian_apply(h, y)
-    rhs = y @ reduced_hessian_apply(h, x)
+    lhs = x @ h.apply(y)
+    rhs = y @ h.apply(x)
     assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
 def test_reduced_hessian_matches_dense_oracle(kkt_2x2):
     h = reduced_hessian(kkt_2x2)
     n = h.n
-    a = kkt_2x2.forward.to_dense()
-    w = kkt_2x2.mass.to_dense()
-    b = kkt_2x2.ops.observation.to_dense()
+    a = kkt_2x2.forward.toarray()
+    w = kkt_2x2.mass.toarray()
+    b = kkt_2x2.ops.observation.toarray()
     j = b @ np.linalg.solve(a, w)
-    dense_h = j.T @ j + kkt_2x2.alpha * kkt_2x2.reg.to_dense()
+    dense_h = j.T @ j + kkt_2x2.alpha * kkt_2x2.reg.toarray()
     probed = probe_columns(h.apply, n)
     assert np.max(np.abs(probed - dense_h)) <= 1e-9 * np.max(np.abs(dense_h))
 
@@ -226,8 +221,8 @@ def test_regularization_prec_inverse_pairing(kkt_2x2):
     h = reduced_hessian(kkt_2x2)
     rng = np.random.default_rng(20)
     v = rng.standard_normal(h.n)
-    r = kkt_2x2.alpha * spmv(kkt_2x2.reg, v)
-    back = regularization_prec_apply(h, r)
+    r = kkt_2x2.alpha * (kkt_2x2.reg @ v)
+    back = regularization_prec_operator(h)(r)
     assert np.linalg.norm(back - v) <= 1e-10 * np.linalg.norm(v)
 
 
@@ -236,17 +231,18 @@ def test_regularization_prec_linear_and_positive(kkt_2x2):
     rng = np.random.default_rng(22)
     r1 = rng.standard_normal(h.n)
     r2 = rng.standard_normal(h.n)
-    combined = regularization_prec_apply(h, r1 + 0.5 * r2)
-    parts = regularization_prec_apply(h, r1) + 0.5 * regularization_prec_apply(h, r2)
+    prec = regularization_prec_operator(h)
+    combined = prec(r1 + 0.5 * r2)
+    parts = prec(r1) + 0.5 * prec(r2)
     assert np.allclose(combined, parts, rtol=1e-12, atol=1e-14)
     for _ in range(20):
         r = rng.standard_normal(h.n)
-        assert r @ regularization_prec_apply(h, r) > 0.0
+        assert r @ prec(r) > 0.0
 
 
 def test_reference_solution_residual(kkt_4x4):
     z = reference_solution(kkt_4x4)
-    k = kkt_dense(kkt_4x4)
+    k = kkt_4x4.matrix.toarray()
     assert np.linalg.norm(k @ z - kkt_4x4.rhs) <= 1e-10 * np.linalg.norm(kkt_4x4.rhs)
 
 
@@ -269,7 +265,7 @@ def test_minres_and_reduced_cg_agree(kkt_4x4):
                       tol=1e-12, maxit=500).solution[:n]
     h = reduced_hessian(kkt_4x4)
     bty = kkt_4x4.rhs[n:2 * n]
-    rhs = spmv(kkt_4x4.mass, _forward_solve(kkt_4x4, bty))
+    rhs = kkt_4x4.mass @ _forward_solve(kkt_4x4, bty)
     q_cg = pcg(h.as_operator(), regularization_prec_operator(h), rhs,
                tol=1e-12, maxit=500).solution
     assert np.linalg.norm(q_minres - q_cg) <= 1e-6 * np.linalg.norm(q_cg)
@@ -285,7 +281,7 @@ def _forward_solve(sys, b):
 def test_reference_solution_matches_dense_ldlt(kkt_4x4, shape):
     sys = kkt_4x4 if shape == (4, 4) else make_instance(nx=10, ny=7, n_obs=20, alpha=1e-4)
     z = reference_solution(sys)
-    z_dense = dense_solve_symmetric_indefinite(kkt_dense(sys), sys.rhs)
+    z_dense = sla.solve(sys.matrix.toarray(), sys.rhs, assume_a="sym")
     assert np.linalg.norm(z - z_dense) <= 1e-10 * np.linalg.norm(z_dense)
 
 
@@ -295,22 +291,22 @@ def test_synthesize_data_forward_residual_large_mesh():
     ops = assemble_problem(mesh, generate_observations(1, 500, 1.45, 1.0))
     q_true = synth_source(mesh).values
     y = synthesize_data(ops, q_true)
-    b = spmv(ops.mass, q_true)
+    b = ops.mass @ q_true
     u = ops.forward_solver(b)
-    assert np.array_equal(y, spmv(ops.observation, u))
-    assert np.linalg.norm(spmv(ops.forward, u) - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.array_equal(y, ops.observation @ u)
+    assert np.linalg.norm(ops.forward @ u - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_singular_blocks_raise_named_errors(kkt_2x2):
     n = kkt_2x2.n
-    empty = SparseMatrix.from_coo(n, n, [], [], [])
+    empty = sp.csr_matrix((n, n))
     # Without A, block 2 = BtB has empty columns away from the observations.
     no_forward = dataclasses.replace(kkt_2x2, forward=empty)
     with pytest.raises(SingularMatrixError, match="block 2"):
         build_preconditioner(no_forward, BDAL_LUMPED_EXACT)
     lazy = build_preconditioner(no_forward, BDAL_EXACT)
     with pytest.raises(SingularMatrixError, match="block 2"):
-        bdal_apply_inverse(lazy, np.ones(3 * n))
+        lazy.apply_inverse(np.ones(3 * n))
     with pytest.raises(SingularMatrixError, match="KKT"):
         reference_solution(dataclasses.replace(no_forward, mass=empty))
 
@@ -329,9 +325,9 @@ def test_bdal_exact_factors_once_on_first_apply(kkt_2x2, monkeypatch):
     p = build_preconditioner(kkt_2x2, BDAL_EXACT)
     assert calls == []
     r = np.ones(kkt_2x2.dim)
-    first = bdal_apply_inverse(p, r)
+    first = p.apply_inverse(r)
     assert len(calls) == 3  # block 1, mass, lumped block 2
-    assert np.array_equal(bdal_apply_inverse(p, r), first)
+    assert np.array_equal(p.apply_inverse(r), first)
     assert len(calls) == 3
 
 

@@ -1,11 +1,17 @@
-"""The one-thread BLAS cap and the ordered process map built on it."""
+"""The one-thread BLAS cap, the ordered process map built on it, and the
+exceptions that cross its worker boundary."""
 
 import concurrent.futures
 import os
+import pickle
 
 import pytest
 
 from kktprec import parallel
+from kktprec.krylov import InnerSolveError
+from kktprec.spectral import AssumptionViolationError, ConditionReport, TheoryViolationError
+
+_REPORT = ConditionReport(*(float(k) for k in range(1, 10)))
 
 
 def _controls_or_skip():
@@ -61,3 +67,18 @@ def test_map_in_order_is_serial_without_cap(monkeypatch):
     with parallel.single_threaded_blas() as capped:
         assert not capped
     assert parallel.map_in_order(_job, range(4)) == [(k * k, os.getpid()) for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "exc, attr",
+    [
+        (TheoryViolationError("sigma_max(E) = 2.5 <= 2", _REPORT), "report"),
+        (AssumptionViolationError("mode 3: d * r = 2 > c_over = 1", mode=3), "mode"),
+        (InnerSolveError("inner CG did not reach tol 1.0e-02 in 5 iterations", 0.25), "achieved_residual"),
+    ],
+)
+def test_exceptions_survive_pickling(exc, attr):
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is type(exc)
+    assert str(back) == str(exc)
+    assert getattr(back, attr) == getattr(exc, attr)

@@ -23,12 +23,11 @@ from kktprec import (
     stability_sigma_max,
     verify_spectral_bounds,
 )
-from kktprec.dense import NotSpdError
-from kktprec.kkt import kkt_dense
 from kktprec.spectral import (
     AssumptionViolationError,
     DeskScaleError,
     IllPosedModeError,
+    NotSpdError,
     coupling_blocks,
     preconditioned_dense,
 )
@@ -271,10 +270,10 @@ def test_preconditioned_dense_names_non_spd_block():
 
 def _exact_bdal_blocks(sys, rho):
     # P1, P2, P3 of the exact kind assembled directly from their definitions
-    w = sys.mass.to_dense()
-    a = sys.forward.to_dense()
-    p1 = sys.alpha * sys.reg.to_dense() + rho * w
-    p2 = sys.btb.to_dense() + rho * (a.T @ np.linalg.solve(w, a))
+    w = sys.mass.toarray()
+    a = sys.forward.toarray()
+    p1 = sys.alpha * sys.reg.toarray() + rho * w
+    p2 = sys.btb.toarray() + rho * (a.T @ np.linalg.solve(w, a))
     return p1, 0.5 * (p2 + p2.T), w / rho
 
 
@@ -284,7 +283,7 @@ def _symmetric_root_coupling(sys, rho):
         return (vecs / np.sqrt(vals)) @ vecs.T
 
     s1, s2, s3 = (inv_sqrt(p) for p in _exact_bdal_blocks(sys, rho))
-    return s3 @ (-sys.mass.to_dense()) @ s1, s3 @ sys.forward.to_dense() @ s2
+    return s3 @ (-sys.mass.toarray()) @ s1, s3 @ sys.forward.toarray() @ s2
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +298,7 @@ def test_preconditioned_kkt_matches_generalized_eigenproblem(name, request):
     p = build_preconditioner(sys, BDAL_EXACT)
     got = np.linalg.eigvalsh(preconditioned_kkt_dense(sys, p))
     want = sla.eigh(
-        kkt_dense(sys), sla.block_diag(*_exact_bdal_blocks(sys, p.rho)), eigvals_only=True
+        sys.matrix.toarray(), sla.block_diag(*_exact_bdal_blocks(sys, p.rho)), eigvals_only=True
     )
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
