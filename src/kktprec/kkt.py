@@ -75,9 +75,15 @@ class DimensionMismatchError(ValueError):
     """An input vector does not match the operator's dimension."""
 
 
+class NonpositiveDiagonalError(ValueError):
+    pass
+
+
 def _triple_product(a: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
     """a^T diag(d) a, symmetrized exactly to kill last-ulp asymmetry from
-    summation order."""
+    summation order. d must be positive, so the result is SPSD."""
+    if np.any(d <= 0.0):
+        raise NonpositiveDiagonalError("triple product requires positive diagonal entries")
     prod = (a.T @ (sp.diags(d) @ a)).tocsr()
     return (prod + prod.T) * 0.5
 

@@ -1,96 +1,43 @@
+"""Dense factorizations the spectral verifier does itself: the eigenvalue
+square root of a PSD matrix and the Cholesky factor of a preconditioner
+block."""
+
 import math
 
 import numpy as np
 import pytest
 
-from helpers import random_spd, random_symmetric
-from kktprec import dense_solve_spd, dense_solve_symmetric_indefinite, symmetric_eig
-from kktprec.dense import AsymmetricMatrixError, NotSpdError
-from kktprec.kkt import kkt_dense
+from helpers import random_spd
+from kktprec.spectral import NotSpdError, _cholesky, _sqrt_psd
 
 
 def test_eig_diagonal_sorted():
-    e = symmetric_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(e.eigenvalues, [1.0, 2.0, 3.0], rtol=0, atol=1e-14)
+    # eigh sorts the eigenvalues; the square root must keep the input order
+    s = _sqrt_psd(np.diag([9.0, 1.0, 4.0]))
+    assert np.allclose(s, np.diag([3.0, 1.0, 2.0]), rtol=0, atol=1e-14)
 
 
 def test_eig_identity():
-    e = symmetric_eig(np.eye(5))
-    assert np.allclose(e.eigenvalues, np.ones(5), rtol=0, atol=1e-14)
-    q = e.eigenvectors
-    assert np.linalg.norm(q.T @ q - np.eye(5)) <= 1e-12
+    assert np.allclose(_sqrt_psd(np.eye(5)), np.eye(5), rtol=0, atol=1e-14)
 
 
 def test_eig_2x2_quadratic_formula():
-    # trace 3, det -2: lambda = (3 +- sqrt(17)) / 2
-    e = symmetric_eig(np.array([[1.0, 2.0], [2.0, 2.0]]))
-    lo = (3.0 - math.sqrt(17.0)) / 2.0
+    # trace 3, det -2: lambda = (3 +- sqrt(17)) / 2; the negative one is clipped
+    s = _sqrt_psd(np.array([[1.0, 2.0], [2.0, 2.0]]))
     hi = (3.0 + math.sqrt(17.0)) / 2.0
-    assert np.allclose(e.eigenvalues, [lo, hi], rtol=1e-14, atol=1e-14)
-
-
-def test_eig_rejects_asymmetric():
-    with pytest.raises(AsymmetricMatrixError):
-        symmetric_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert np.allclose(np.linalg.eigvalsh(s), [0.0, math.sqrt(hi)], rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("n", [2, 10, 60, 200])
 def test_eig_reconstruction(n):
     rng = np.random.default_rng(n)
-    m = random_symmetric(n, rng)
-    e = symmetric_eig(m)
-    err = np.linalg.norm(e.reconstruct() - m) / np.linalg.norm(m)
-    assert err <= 1e-10
-    q = e.eigenvectors
-    assert np.linalg.norm(q.T @ q - np.eye(n)) <= 1e-10
-    assert np.all(np.diff(e.eigenvalues) >= -1e-12)
-
-
-def test_spd_solve_identity():
-    b = np.array([1.0, -2.0, 3.0])
-    assert np.allclose(dense_solve_spd(np.eye(3), b), b, rtol=0, atol=1e-15)
-
-
-def test_spd_solve_diagonal():
-    x = dense_solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
-    assert np.allclose(x, [1.0, 1.0], rtol=0, atol=1e-14)
-
-
-def test_spd_solve_residual_random():
-    rng = np.random.default_rng(8)
-    m = random_spd(8, rng)
-    b = rng.standard_normal(8)
-    x = dense_solve_spd(m, b)
-    assert np.linalg.norm(m @ x - b) <= 1e-12 * np.linalg.norm(b)
+    m = random_spd(n, rng)
+    s = _sqrt_psd(m)
+    assert np.linalg.norm(s @ s - m) / np.linalg.norm(m) <= 1e-10
+    assert np.linalg.norm(s - s.T) <= 1e-10 * np.linalg.norm(s)
+    assert np.all(np.linalg.eigvalsh(s) >= 0.0)
 
 
 def test_spd_solve_rejects_indefinite():
-    with pytest.raises(NotSpdError):
-        dense_solve_spd(np.diag([1.0, -1.0]), np.ones(2))
-
-
-def test_indefinite_solve_diagonal():
-    x = dense_solve_symmetric_indefinite(np.diag([1.0, -1.0]), np.array([1.0, 1.0]))
-    assert np.allclose(x, [1.0, -1.0], rtol=0, atol=1e-14)
-
-
-def test_indefinite_solve_swap():
-    m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    x = dense_solve_symmetric_indefinite(m, np.array([3.0, -5.0]))
-    assert np.allclose(x, [-5.0, 3.0], rtol=0, atol=1e-14)
-
-
-def test_indefinite_solve_kkt_residual(kkt_2x2):
-    k = kkt_dense(kkt_2x2)
-    b = kkt_2x2.rhs
-    x = dense_solve_symmetric_indefinite(k, b)
-    assert np.linalg.norm(k @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_solvers_agree_on_spd():
-    rng = np.random.default_rng(21)
-    m = random_spd(12, rng)
-    b = rng.standard_normal(12)
-    x1 = dense_solve_spd(m, b)
-    x2 = dense_solve_symmetric_indefinite(m, b)
-    assert np.linalg.norm(x1 - x2) <= 1e-10 * np.linalg.norm(x1)
+    with pytest.raises(NotSpdError, match="block P1"):
+        _cholesky(np.diag([1.0, -1.0]), "P1")

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import make_instance
 from kktprec.fem import _from_coo
-from kktprec.kkt import _triple_product
+from kktprec.kkt import NonpositiveDiagonalError, _triple_product
 from kktprec.sparse import RefinementError, SingularMatrixError, SparseLU
 
 
@@ -63,6 +63,11 @@ def test_triple_diag_matches_dense():
     assert np.max(np.abs(od - dense.T @ np.diag(d) @ dense)) <= 1e-13
     # exact symmetry by construction
     assert np.array_equal(od, od.T)
+
+
+def test_triple_diag_rejects_nonpositive_diagonal():
+    with pytest.raises(NonpositiveDiagonalError):
+        _triple_product(sp.identity(2, format="csr"), np.array([1.0, 0.0]))
 
 
 @settings(max_examples=15, deadline=None)
