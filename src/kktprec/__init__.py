@@ -25,7 +25,7 @@ from .kkt import (
     reference_solution,
     synthesize_data,
 )
-from .krylov import inner_solve_to_tol, minres, pcg
+from .krylov import minres, pcg
 from .mesh import ObservationSet, build_mesh
 from .spectral import (
     AmGmConstants,

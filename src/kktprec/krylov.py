@@ -1,5 +1,4 @@
-"""Krylov solvers: preconditioned MINRES, preconditioned CG, and the inner
-Jacobi-CG used for subsidiary solves.
+"""Krylov solvers: preconditioned MINRES and preconditioned CG.
 
 minres and pcg never form matrices. The operator and the preconditioner's
 inverse are plain callables x -> y on 1-D float64 arrays; the problem
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 Operator = Callable[[np.ndarray], np.ndarray]
 
@@ -28,17 +26,6 @@ class PreconditionerNotSpdError(ValueError):
 
 class IndefiniteOperatorError(ValueError):
     """CG hit nonpositive curvature: the operator is not positive definite."""
-
-
-class InnerSolveError(RuntimeError):
-    """Inner solve exceeded its iteration budget."""
-
-    def __init__(self, message: str, achieved_residual: float):
-        super().__init__(message)
-        self.achieved_residual = achieved_residual
-
-    def __reduce__(self):
-        return type(self), (*self.args, self.achieved_residual)
 
 
 @dataclass(frozen=True)
@@ -302,59 +289,4 @@ def pcg(
         residual_history=np.array(res_hist),
         error_history=np.array(err_hist) if err_hist is not None else None,
         solution=x,
-    )
-
-
-def inner_solve_to_tol(
-    m: sp.csr_matrix, b: np.ndarray, tol: float, maxit: int | None = None
-) -> np.ndarray:
-    """Jacobi-preconditioned CG on a sparse SPD matrix.
-
-    Stops on the true residual: returns x with ||m x - b|| <= tol * ||b||.
-    Exceeding the iteration budget raises InnerSolveError carrying the
-    achieved relative residual.
-    """
-    b = np.asarray(b, dtype=np.float64)
-    n = m.shape[0]
-    if m.shape != (n, n) or b.shape != (n,):
-        raise ValueError("inner solve needs a square matrix and a matching rhs")
-    d = m.diagonal()
-    if np.any(d <= 0.0):
-        raise NotImplementedError("inner solve expects a positive diagonal (SPD matrix)")
-    inv_d = 1.0 / d
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros(n)
-    if maxit is None:
-        maxit = 20 * n + 200
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_d * r
-    rz = float(r @ z)
-    p = z.copy()
-    achieved = 1.0
-    for it in range(1, maxit + 1):
-        ap = m @ p
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise IndefiniteOperatorError(f"inner CG curvature {pap:.3e} at iteration {it}")
-        step = rz / pap
-        x = x + step * p
-        r = r - step * ap
-        achieved = float(np.linalg.norm(r)) / norm_b
-        if achieved <= tol:
-            # Recurrence residual can drift from the true one near machine
-            # precision; recompute before declaring victory.
-            true_r = b - m @ x
-            achieved = float(np.linalg.norm(true_r)) / norm_b
-            if achieved <= tol:
-                return x
-            r = true_r
-        z = inv_d * r
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise InnerSolveError(
-        f"inner CG did not reach tol {tol:.1e} in {maxit} iterations", achieved
     )

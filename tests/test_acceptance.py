@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from helpers import make_instance
 from kktprec.cli import main
@@ -31,7 +32,7 @@ from kktprec.kkt import (
     reference_solution,
     regularization_prec_operator,
 )
-from kktprec.krylov import inner_solve_to_tol, minres, pcg
+from kktprec.krylov import minres, pcg
 from kktprec.mesh import build_mesh
 from kktprec.rng import SplitMix64
 from kktprec.spectral import (
@@ -197,7 +198,7 @@ def _poisson_l2_error(nx, ny, lx=1.45, ly=1.0):
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     u_star = np.sin(np.pi * x / lx) * np.sin(np.pi * y / ly)
     f = np.pi**2 * (1.0 / lx**2 + 1.0 / ly**2) * u_star
-    u_h = inner_solve_to_tol(a, w @ f, 1e-12)
+    u_h = spsolve(a, w @ f)
     e = u_h - u_star
     return float(np.sqrt(e @ (w @ e)))
 
@@ -223,7 +224,7 @@ def test_criterion_8_solver_equivalence():
     q_minres = rep_m.solution[:n]
 
     h = reduced_hessian(sys)
-    rhs = sys.mass @ inner_solve_to_tol(sys.forward, sys.rhs[n : 2 * n], 1e-12)
+    rhs = sys.mass @ spsolve(sys.forward, sys.rhs[n : 2 * n])
     rep_c = pcg(h.as_operator(), regularization_prec_operator(h), rhs, tol=1e-12, maxit=2000)
     q_cg = rep_c.solution
 

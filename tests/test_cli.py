@@ -158,6 +158,12 @@ def test_unknown_set_key_is_error(capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_retired_inner_tol_set_is_error(capsys):
+    code = main(["gen-obs", "--set", "inner_tol = 1e-3"])
+    assert code == EXIT_ERROR
+    assert "inner_tol is retired" in capsys.readouterr().err
+
+
 def test_invalid_set_value_is_error(capsys):
     code = main(["gen-obs", "--set", "alpha = -1"])
     assert code == EXIT_ERROR

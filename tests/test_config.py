@@ -98,3 +98,16 @@ def test_load_config_direct_kwargs(tmp_path):
 def test_load_config_no_file():
     cfg = load_config(None, overrides=["nx = 5", "ny = 5"])
     assert cfg.nx == (5,)
+
+
+def test_inner_tol_is_retired(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("seed = 3\ninner_tol = 1e-3\n")
+    with pytest.raises(ConfigError, match=r"run.cfg:2: inner_tol is retired: .*multigrid cycle"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=r"<override>:1: inner_tol is retired: .*multigrid cycle"):
+        load_config(None, overrides=["inner_tol = 1e-3"])
+    # The field and its range check stay for callers that pass it directly.
+    assert ExperimentConfig().inner_tol == 1e-2
+    with pytest.raises(ConfigError, match="inner_tol must lie"):
+        ExperimentConfig(inner_tol=2.0)

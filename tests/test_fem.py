@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import spsolve
 
 from kktprec import (
     ObservationSet,
@@ -8,7 +9,6 @@ from kktprec import (
     assemble_regularization,
     assemble_stiffness_nitsche,
     build_mesh,
-    inner_solve_to_tol,
     interpolate_image,
     lump_mass,
 )
@@ -124,7 +124,7 @@ def poisson_l2_error(nx, ny, lx=1.0, ly=1.0, gamma0=10.0):
     f = np.pi**2 * (1.0 / lx**2 + 1.0 / ly**2) * u_star
     a = assemble_stiffness_nitsche(mesh, gamma0=gamma0)
     w = assemble_mass(mesh)
-    u_h = inner_solve_to_tol(a, w @ f, 1e-12)
+    u_h = spsolve(a, w @ f)
     e = u_h - u_star
     return float(np.sqrt(e @ (w @ e)))
 
@@ -144,7 +144,7 @@ def test_penalty_limit_pins_boundary():
 
     def boundary_max(gamma0):
         a = assemble_stiffness_nitsche(mesh, gamma0=gamma0)
-        u = inner_solve_to_tol(a, w @ f, 1e-12)
+        u = spsolve(a, w @ f)
         return float(np.abs(u[bdry]).max())
 
     b_small = boundary_max(1e2)

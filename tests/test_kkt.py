@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
 from helpers import make_instance, probe_columns
 from kktprec import (
@@ -24,6 +25,9 @@ from kktprec import (
     synth_source,
     synthesize_data,
 )
+from kktprec.config import ExperimentConfig
+from kktprec.formats import write_observations
+from kktprec.harness import run_mesh_study
 from kktprec.kkt import (
     DimensionMismatchError,
     UnknownPreconditionerError,
@@ -272,9 +276,7 @@ def test_minres_and_reduced_cg_agree(kkt_4x4):
 
 
 def _forward_solve(sys, b):
-    from kktprec import inner_solve_to_tol
-
-    return inner_solve_to_tol(sys.forward, b, 1e-12)
+    return spsolve(sys.forward, b)
 
 
 @pytest.mark.parametrize("shape", [(4, 4), (10, 7)])
@@ -326,9 +328,41 @@ def test_bdal_exact_factors_once_on_first_apply(kkt_2x2, monkeypatch):
     assert calls == []
     r = np.ones(kkt_2x2.dim)
     first = p.apply_inverse(r)
-    assert len(calls) == 3  # block 1, mass, lumped block 2
+    assert len(calls) == 3  # block 1, mass, augmented block 2
     assert np.array_equal(p.apply_inverse(r), first)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("shape", [(10, 7), (20, 14)])
+def test_bdal_exact_second_block_is_a_direct_solve(shape):
+    nx, ny = shape
+    sys = make_instance(nx=nx, ny=ny, n_obs=50, alpha=1e-6)
+    n = sys.n
+    p = build_preconditioner(sys, BDAL_EXACT)
+    a, w = sys.forward.toarray(), sys.mass.toarray()
+    p2 = sys.btb.toarray() + p.rho * a @ np.linalg.solve(w, a)
+    r = np.random.default_rng(17).standard_normal(n)
+    z = np.zeros(3 * n)
+    z[n : 2 * n] = r
+    expected = np.linalg.solve(p2, r)
+    got = p.apply_inverse(z)[n : 2 * n]
+    assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
+def test_bdal_exact_mesh_study_counts(tmp_path):
+    obs_path = str(tmp_path / "observations.txt")
+    write_observations(obs_path, generate_observations(1, 200, 1.45, 1.0))
+    cfg = ExperimentConfig(
+        nx=(10, 20, 40, 80),
+        ny=(7, 14, 28, 56),
+        alpha=(1e-6,),
+        n_obs=(200,),
+        obs_file=obs_path,
+        preconditioners=(BDAL_EXACT,),
+        out_dir=str(tmp_path),
+    )
+    counts = [row["iters-to-target"] for row in run_mesh_study(cfg)]
+    assert counts == [47, 45, 44, 44]
 
 
 def test_reduced_hessian_factors_forward_once(kkt_2x2, monkeypatch):

@@ -1,21 +1,10 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from helpers import probe_columns, random_spd
-from kktprec import (
-    assemble_regularization,
-    build_mesh,
-    inner_solve_to_tol,
-    lump_mass,
-    minres,
-    pcg,
-    reduced_hessian,
-)
-from kktprec.fem import assemble_mass
+from kktprec import minres, pcg, reduced_hessian
 from kktprec.krylov import (
     IndefiniteOperatorError,
-    InnerSolveError,
     LinearOperator,
     PreconditionerNotSpdError,
 )
@@ -165,38 +154,6 @@ def _observed_data(sys):
     # tiny instance B^T has full column rank
     bt = sys.ops.observation.toarray().T
     return np.linalg.lstsq(bt, sys.rhs[sys.n:2 * sys.n], rcond=None)[0]
-
-
-def test_inner_solve_scalar():
-    m = sp.diags([4.0], format="csr")
-    assert np.allclose(inner_solve_to_tol(m, np.array([8.0]), 1e-8), [2.0])
-
-
-def test_inner_solve_identity():
-    b = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(inner_solve_to_tol(sp.identity(3, format="csr"), b, 1e-10), b)
-
-
-def test_inner_solve_regularization_block():
-    # alpha R*R + rho W_L on a h=1/8 unit-square mesh
-    mesh = build_mesh(1.0, 1.0, 8, 8)
-    reg = assemble_regularization(mesh, t=0.1)
-    wl = lump_mass(assemble_mass(mesh))
-    block = (1e-4 * reg + 1e-2 * sp.diags(wl)).tocsr()
-    rng = np.random.default_rng(12)
-    b = rng.standard_normal(block.shape[0])
-    for tol in (1e-2, 1e-8):
-        x = inner_solve_to_tol(block, b, tol)
-        assert np.linalg.norm(block.toarray() @ x - b) <= tol * np.linalg.norm(b)
-
-
-def test_inner_solve_budget_error():
-    mesh = build_mesh(1.0, 1.0, 6, 6)
-    reg = assemble_regularization(mesh, t=0.1)
-    b = np.ones(reg.shape[0])
-    with pytest.raises(InnerSolveError) as exc:
-        inner_solve_to_tol(reg, b, 1e-14, maxit=2)
-    assert exc.value.achieved_residual > 0.0
 
 
 def test_operator_shape_validation():

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from kktprec import parallel
-from kktprec.krylov import InnerSolveError
 from kktprec.spectral import AssumptionViolationError, ConditionReport, TheoryViolationError
 
 _REPORT = ConditionReport(*(float(k) for k in range(1, 10)))
@@ -74,7 +73,6 @@ def test_map_in_order_is_serial_without_cap(monkeypatch):
     [
         (TheoryViolationError("sigma_max(E) = 2.5 <= 2", _REPORT), "report"),
         (AssumptionViolationError("mode 3: d * r = 2 > c_over = 1", mode=3), "mode"),
-        (InnerSolveError("inner CG did not reach tol 1.0e-02 in 5 iterations", 0.25), "achieved_residual"),
     ],
 )
 def test_exceptions_survive_pickling(exc, attr):
