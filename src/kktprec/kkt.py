@@ -35,6 +35,20 @@ augmented P2 system, the coarsest level of each multigrid cycle, the R*R
 solve of the baseline preconditioner, and the forward and adjoint PDE
 solves (one LU of A per ProblemOperators). Only the spectral verifier
 densifies, one n x n block of KktSystem.matrix at a time.
+
+Every LU except those of A and R*R runs in SuperLU's symmetric mode
+(minimum degree on m^T + m, diagonal pivots). The saddle-point systems are
+first put in matched-pair order, rows and columns permuted so that every
+diagonal block is SPD (Benzi, Golub, Liesen, Acta Numerica 14, 2005): the
+reference factors
+
+    [ A     0     -W       ] [ u  ]   [ 0    ]
+    [ BtB   A      0       ] [ eta] = [ Bt y ]
+    [ 0    -W      alpha*RR] [ q  ]   [ 0    ]
+
+whose LU holds about half the entries of a COLAMD LU of K. The LUs of A
+and R*R keep COLAMD: they drive the reduced-Hessian CG, whose iteration
+counts follow the rounding of its operator.
 """
 
 from __future__ import annotations
@@ -114,6 +128,9 @@ class ProblemOperators:
         """LU of A, factored on first use and shared by every forward and
         adjoint solve of this instance. Solves meet the true-residual
         contract ||A x - b|| <= EXACT_SOLVE_TOL * ||b|| or raise."""
+        # COLAMD, not symmetric mode: this LU drives the reduced-Hessian CG,
+        # which amplifies rounding, and a symmetric-mode LU moved cg-hess
+        # iterations-to-target on the ladder by up to 4.
         return SparseLU(self.forward, "forward", EXACT_SOLVE_TOL, residual=True)
 
 
@@ -204,12 +221,25 @@ def kkt_operator(sys: KktSystem) -> Operator:
 
 
 def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
-    """Sparse direct solve of the full KKT system: LU of the assembled 3n
-    matrix, refined to normwise backward error <= tol, which for a
-    reasonably conditioned K implies ||K z - rhs|| <= tol * ||rhs||."""
+    """Sparse direct solve of the full KKT system, refined to normwise
+    backward error <= tol, which for a reasonably conditioned K implies
+    ||K z - rhs|| <= tol * ||rhs||.
+
+    The LU is of K in matched-pair order: block rows 3, 2, 1 and columns
+    (u, eta, q), so that the diagonal blocks A, A and alpha*R*R are SPD and
+    the symmetric-mode LU pivots on them. Permuting rows and columns keeps
+    the Frobenius norm and the residual norm, so refining against the
+    permuted matrix is refining against K.
+    """
     if float(np.linalg.norm(sys.rhs)) == 0.0:
         return np.zeros(sys.dim)
-    return SparseLU(sys.matrix, "KKT", tol)(sys.rhs)
+    n = sys.n
+    rows = np.r_[2 * n : 3 * n, n : 2 * n, 0:n]
+    cols = np.r_[n : 3 * n, 0:n]
+    matched = sys.matrix[rows][:, cols]
+    z = np.empty(sys.dim)
+    z[cols] = SparseLU(matched, "KKT", tol, symmetric=True)(sys.rhs[rows])
+    return z
 
 
 @dataclass
@@ -234,9 +264,11 @@ def build_preconditioner(
     """Build a BDAL preconditioner for the KKT system.
 
     rho defaults to sqrt(alpha). Exact kinds solve their blocks with cached
-    sparse LUs refined to backward error 1e-12. The non-lumped kind applies
-    P2^-1 through one LU of the 2n augmented system [[BtB, A], [A, -W/rho]]
-    and factors on first apply, so a singular block raises there, not here.
+    symmetric-mode sparse LUs refined to backward error 1e-12. The
+    non-lumped kind applies P2^-1 through one LU of the 2n augmented system
+    [[A, -W/rho], [BtB, A]] [z; mu] = [0; r], row-swapped so that both
+    diagonal blocks are A, and factors on first apply, so a singular block
+    raises there, not here.
     The inexact kind applies one fixed multigrid cycle per block
     (multigrid.Cycle): a V-cycle for block 1 and a W-cycle for block 2,
     which reduce to the coarse LU on meshes that cannot be halved.
@@ -264,15 +296,15 @@ def build_preconditioner(
         @cache
         def factors() -> tuple[SparseLU, SparseLU, SparseLU]:
             block1 = sys.alpha * sys.reg + rho * sys.mass
-            augmented = sp.bmat([[sys.btb, sys.forward], [sys.forward, sys.mass / -rho]], format="csr")
+            augmented = sp.bmat([[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]], format="csr")
             return (
-                SparseLU(block1, "block 1", EXACT_SOLVE_TOL),
-                SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL),
-                SparseLU(augmented, "block 2", EXACT_SOLVE_TOL),
+                SparseLU(block1, "block 1", EXACT_SOLVE_TOL, symmetric=True),
+                SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL, symmetric=True),
+                SparseLU(augmented, "block 2", EXACT_SOLVE_TOL, symmetric=True),
             )
 
         solve1 = lambda r: factors()[0](r)
-        solve2 = lambda r: factors()[2](np.concatenate([r, np.zeros(n)]))[:n]
+        solve2 = lambda r: factors()[2](np.concatenate([np.zeros(n), r]))[:n]
         solve3 = lambda r: rho * factors()[1](r)
 
     else:
@@ -280,8 +312,8 @@ def build_preconditioner(
         block1 = sys.alpha * sys.reg + rho * sp.diags(w_diag)
         block2 = sys.btb + rho * _triple_product(sys.forward, 1.0 / w_diag)
         if kind == BDAL_LUMPED_EXACT:
-            solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL)
-            solve2 = SparseLU(block2, "block 2", EXACT_SOLVE_TOL)
+            solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL, symmetric=True)
+            solve2 = SparseLU(block2, "block 2", EXACT_SOLVE_TOL, symmetric=True)
         else:
             mesh = sys.ops.mesh
             solve1 = Cycle(block1, mesh.nx, mesh.ny, 1, "block 1")
@@ -324,6 +356,8 @@ class ReducedHessianOperator:
     @cached_property
     def reg_solver(self) -> SparseLU:
         """LU of R*R, factored on first use, refined to backward error 1e-12."""
+        # COLAMD for the same reason as ProblemOperators.forward_solver: this
+        # LU preconditions the baseline CG, whose counts follow its rounding.
         return SparseLU(self.reg, "R*R", EXACT_SOLVE_TOL)
 
     def apply(self, q: np.ndarray) -> np.ndarray:

@@ -33,7 +33,23 @@ from kktprec.kkt import (
     UnknownPreconditionerError,
     regularization_prec_operator,
 )
-from kktprec.sparse import SingularMatrixError
+from kktprec.sparse import SingularMatrixError, SparseLU
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Every SuperLU factor made while the test runs, in order."""
+    import scipy.sparse.linalg as spla
+
+    made = []
+    splu = spla.splu
+
+    def capturing_splu(m, *args, **kwargs):
+        made.append(splu(m, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", capturing_splu)
+    return made
 
 
 def test_zero_data_zero_solution(kkt_2x2):
@@ -287,6 +303,35 @@ def test_reference_solution_matches_dense_ldlt(kkt_4x4, shape):
     assert np.linalg.norm(z - z_dense) <= 1e-10 * np.linalg.norm(z_dense)
 
 
+def test_reference_factor_is_matched_pair_sized(factors):
+    # COLAMD with partial pivoting on K itself stores about 1.75e6 entries
+    sys = make_instance(nx=58, ny=40, n_obs=500, alpha=1e-6)
+    factors.clear()
+    reference_solution(sys)
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz <= 1.0e6
+
+
+@pytest.mark.parametrize("alpha", [1e-2, 1e-6])
+@pytest.mark.parametrize("shape", [(20, 14), (29, 20)])
+def test_reference_solution_matches_colamd_lu(shape, alpha):
+    nx, ny = shape
+    sys = make_instance(nx=nx, ny=ny, n_obs=200, alpha=alpha)
+    n = sys.n
+    q = reference_solution(sys)[:n]
+    q_colamd = SparseLU(sys.matrix, "KKT", 1e-10)(sys.rhs)[:n]
+    assert np.linalg.norm(q - q_colamd) <= 1e-9 * np.linalg.norm(q_colamd)
+
+
+def test_reference_solution_backward_error_small_alpha():
+    sys = make_instance(nx=20, ny=14, n_obs=200, alpha=1e-8)
+    z = reference_solution(sys)
+    k = sys.matrix
+    r = np.linalg.norm(k @ z - sys.rhs)
+    norm_k = np.linalg.norm(k.data)
+    assert r <= 1e-10 * (norm_k * np.linalg.norm(z) + np.linalg.norm(sys.rhs))
+
+
 def test_synthesize_data_forward_residual_large_mesh():
     # n = 37513: Jacobi-CG could not reach the 1e-12 true residual here
     mesh = build_mesh(1.45, 1.0, 232, 160)
@@ -313,24 +358,14 @@ def test_singular_blocks_raise_named_errors(kkt_2x2):
         reference_solution(dataclasses.replace(no_forward, mass=empty))
 
 
-def test_bdal_exact_factors_once_on_first_apply(kkt_2x2, monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    calls = []
-    splu = spla.splu
-
-    def counting_splu(m, *args, **kwargs):
-        calls.append(m.shape)
-        return splu(m, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
+def test_bdal_exact_factors_once_on_first_apply(kkt_2x2, factors):
     p = build_preconditioner(kkt_2x2, BDAL_EXACT)
-    assert calls == []
+    assert factors == []
     r = np.ones(kkt_2x2.dim)
     first = p.apply_inverse(r)
-    assert len(calls) == 3  # block 1, mass, augmented block 2
+    assert len(factors) == 3  # block 1, mass, augmented block 2
     assert np.array_equal(p.apply_inverse(r), first)
-    assert len(calls) == 3
+    assert len(factors) == 3
 
 
 @pytest.mark.parametrize("shape", [(10, 7), (20, 14)])
@@ -365,17 +400,7 @@ def test_bdal_exact_mesh_study_counts(tmp_path):
     assert counts == [47, 45, 44, 44]
 
 
-def test_reduced_hessian_factors_forward_once(kkt_2x2, monkeypatch):
-    import scipy.sparse.linalg as spla
-
-    calls = []
-    splu = spla.splu
-
-    def counting_splu(m, *args, **kwargs):
-        calls.append(m.shape)
-        return splu(m, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", counting_splu)
+def test_reduced_hessian_factors_forward_once(kkt_2x2, factors):
     ops = assemble_problem(kkt_2x2.ops.mesh, kkt_2x2.ops.obs)
     sys = build_kkt(ops, alpha=1e-2, y=kkt_2x2.y)
     h = reduced_hessian(sys)
@@ -384,4 +409,4 @@ def test_reduced_hessian_factors_forward_once(kkt_2x2, monkeypatch):
         h.apply(rhs)
     reduced_hessian(sys).apply(rhs)
     synthesize_data(ops, rhs)
-    assert len(calls) == 1
+    assert len(factors) == 1

@@ -105,21 +105,50 @@ def test_sparse_lu_solves_and_refines():
     dense[np.abs(dense) < 0.8] = 0.0
     m = sp.csr_matrix(dense)
     b = rng.standard_normal(12)
-    for residual in (False, True):
-        x = SparseLU(m, "test", 1e-12, residual=residual)(b)
-        assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
-    assert np.all(SparseLU(m, "test", 1e-12)(np.zeros(12)) == 0.0)
+    for symmetric in (False, True):
+        for residual in (False, True):
+            x = SparseLU(m, "test", 1e-12, residual=residual, symmetric=symmetric)(b)
+            assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.all(SparseLU(m, "test", 1e-12, symmetric=symmetric)(np.zeros(12)) == 0.0)
 
 
 def test_sparse_lu_singular_names_matrix():
     m = sp.diags([1.0, 0.0, 2.0], format="csr")
-    with pytest.raises(SingularMatrixError, match="block 2 matrix"):
-        SparseLU(m, "block 2", 1e-12)
+    for symmetric in (False, True):
+        with pytest.raises(SingularMatrixError, match="block 2 matrix"):
+            SparseLU(m, "block 2", 1e-12, symmetric=symmetric)
 
 
 def test_sparse_lu_stalled_refinement_reports_error():
     rng = np.random.default_rng(32)
     m = sp.csr_matrix(rng.standard_normal((8, 8)) + 8.0 * np.eye(8))
-    solver = SparseLU(m, "forward", 1e-30, residual=True)
-    with pytest.raises(RefinementError, match=r"forward solve: .*relative residual \d"):
-        solver(rng.standard_normal(8))
+    for symmetric in (False, True):
+        solver = SparseLU(m, "forward", 1e-30, residual=True, symmetric=symmetric)
+        with pytest.raises(RefinementError, match=r"forward solve: .*relative residual \d"):
+            solver(rng.standard_normal(8))
+
+
+TINY_PIVOT = {
+    "2x2": [[1e-18, 1.0], [1.0, 1.0]],
+    # Vertex 0 has the least degree, so the minimum degree order of the
+    # symmetric mode eliminates it first and pivots on the 1e-18.
+    "arrow": [[1e-18, 1.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0], [0.0, 1.0, 4.0, 1.0], [0.0, 1.0, 1.0, 4.0]],
+}
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("case", sorted(TINY_PIVOT))
+def test_sparse_lu_tiny_pivot_refines_or_raises(case, symmetric):
+    dense = np.array(TINY_PIVOT[case])
+    rng = np.random.default_rng(33)
+    for residual in (False, True):
+        solver = SparseLU(sp.csr_matrix(dense), "tiny", 1e-12, residual=residual, symmetric=symmetric)
+        for _ in range(5):
+            b = rng.standard_normal(dense.shape[0])
+            try:
+                x = solver(b)
+            except RefinementError:
+                continue
+            norm = 0.0 if residual else np.linalg.norm(dense)
+            r = np.linalg.norm(dense @ x - b)
+            assert r <= 1e-12 * (norm * np.linalg.norm(x) + np.linalg.norm(b))
