@@ -2,6 +2,14 @@
 systems of PDE-constrained source inversion, with a P1 finite element
 benchmark and numerical verification of the provable spectral bounds."""
 
+import os
+
+# OpenBLAS reads its thread count once, when it is loaded, and starts its
+# thread pool then. Set before the first import that loads numpy, so a
+# process that imports the package first starts no pool; the ctypes cap in
+# `parallel` covers processes that loaded numpy earlier.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .config import ConfigError, ExperimentConfig, load_config
 from .fem import (
     assemble_mass,

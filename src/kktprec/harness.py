@@ -221,9 +221,7 @@ def solve_one(
 
     echo = {"kind": kind, "alpha": sys.alpha, "n": n}
     if kind in BDAL_KINDS:
-        prec = build_preconditioner(
-            sys, kind, rho=cfg.rho_for(sys.alpha), inner_tol=cfg.inner_tol
-        )
+        prec = build_preconditioner(sys, kind, rho=cfg.rho_for(sys.alpha))
         report = minres(
             kkt_operator(sys),
             prec.as_operator(),

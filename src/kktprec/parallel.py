@@ -2,10 +2,12 @@
 thread per process.
 
 The package's dense kernels are desk-scale, where a second OpenBLAS
-thread mostly spins; a core is better spent on a second job. The thread
-counts are set through ctypes on every OpenBLAS library mapped into the
-process, looked up each time the cap is entered, so importing the package
-does no work.
+thread mostly spins; a core is better spent on a second job. Importing
+the package sets OPENBLAS_NUM_THREADS=1, so a process that imports it
+before numpy loads OpenBLAS with one thread and starts no thread pool.
+Processes that loaded numpy first (pytest, library callers) get the cap
+here instead: the thread counts are set through ctypes on every OpenBLAS
+library mapped into the process, looked up each time the cap is entered.
 """
 
 from __future__ import annotations
