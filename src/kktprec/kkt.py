@@ -133,6 +133,16 @@ class ProblemOperators:
         # iterations-to-target on the ladder by up to 4.
         return SparseLU(self.forward, "forward", EXACT_SOLVE_TOL, residual=True)
 
+    @cached_property
+    def btb(self) -> sp.csr_matrix:
+        """B^T B, formed once and shared by the KKT system of every alpha."""
+        return _triple_product(self.observation, np.ones(self.observation.shape[0]))
+
+    @cached_property
+    def at_lumped_inv_a(self) -> sp.csr_matrix:
+        """A^T W_L^(-1) A (W_L the lumped mass), shared by every lumped block 2."""
+        return _triple_product(self.forward, 1.0 / self.mass_lumped)
+
 
 def assemble_problem(
     mesh: TriMesh,
@@ -198,7 +208,7 @@ def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
     rhs[n : 2 * n] = ops.observation.T @ y
     return KktSystem(
         reg=ops.reg,
-        btb=_triple_product(ops.observation, np.ones(n_obs)),
+        btb=ops.btb,
         forward=ops.forward,
         mass=ops.mass,
         alpha=alpha,
@@ -310,7 +320,7 @@ def build_preconditioner(
     else:
         w_diag = sys.ops.mass_lumped
         block1 = sys.alpha * sys.reg + rho * sp.diags(w_diag)
-        block2 = sys.btb + rho * _triple_product(sys.forward, 1.0 / w_diag)
+        block2 = sys.btb + rho * sys.ops.at_lumped_inv_a
         if kind == BDAL_LUMPED_EXACT:
             solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL, symmetric=True)
             solve2 = SparseLU(block2, "block 2", EXACT_SOLVE_TOL, symmetric=True)

@@ -25,12 +25,16 @@ Two views of the same constants:
 verify_spectral_bounds checks all five numerically on dense assemblies,
 with E formed as the block-Cholesky congruence L^(-1) K L^(-T), P = L L^T:
 it differs from P^(-1/2) K P^(-1/2) by an orthogonal block-diagonal factor,
-so it has the same spectrum, and F and G the same singular values.
+so it has the same spectrum, and F and G the same singular values. E's
+eigenvalues are solved on E's own storage, so that solve holds E and the
+copied coupling rows Y = [F G], about 11 n^2 doubles. beta^2 is
+lambda_max(G^T Q_reg G), which shares the nonzero spectrum of Q_reg Q_data.
 
 For the exact BDAL preconditioner the last two checks hold with equality.
-Y = [F G] gives Y Y^T = Q_reg + Q_data, so sigma_min(Y)^2 = 2 delta; and
-X + Y^T Y = [[I, F^T G], [G^T F, I]] has lambda_min = 1 - sigma_max(F^T G)
-= 1 - beta. On assembled instances they therefore test rounding (gaps of
+Y Y^T = Q_reg + Q_data, so sigma_min(Y)^2 = 2 delta; and X + Y^T Y =
+[[I, F^T G], [G^T F, I]] has lambda_min = 1 - sigma_max(F^T G) = 1 - beta,
+taken from one n x n SVD. Each is computed by another route than the
+constant it checks, so on assembled instances they test rounding (gaps of
 about 1e-15 and 5e-14 relative on the theory grid), not the theory; they
 stay as consistency checks on the measured delta and beta.
 """
@@ -43,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 
 from .kkt import BDAL_EXACT, KktSystem, Preconditioner
 
@@ -273,11 +277,6 @@ def laplacian_source_model(
 # dense operator-level verification
 
 
-def _sqrt_psd(m: np.ndarray) -> np.ndarray:
-    vals, q = np.linalg.eigh(m)
-    return (q * np.sqrt(np.clip(vals, 0.0, None))) @ q.T
-
-
 def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
     try:
         return cholesky(m, lower=True, check_finite=False)
@@ -285,10 +284,11 @@ def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
         raise NotSpdError(f"preconditioner block {name} is not positive definite: {exc}") from exc
 
 
-def _congruence(k: sp.spmatrix, factors: list[np.ndarray]) -> np.ndarray:
+def _congruence(k: sp.spmatrix, factors: list[np.ndarray], solved: dict | None = None) -> np.ndarray:
     """L^(-1) K L^(-T) for sparse K and L = diag(factors), block by block.
     Blocks of K with no stored entries are skipped, one block at a time is
-    densified, and each lower block is mirrored, so the result is symmetric."""
+    densified, and each lower block is mirrored, so the result is symmetric.
+    solved maps (i, j) to L_i^(-1) K_ij where the caller already holds it."""
     ends = np.cumsum([l.shape[0] for l in factors])
     spans = [slice(end - l.shape[0], end) for end, l in zip(ends, factors)]
     e = np.zeros((ends[-1], ends[-1]))
@@ -297,7 +297,9 @@ def _congruence(k: sp.spmatrix, factors: list[np.ndarray]) -> np.ndarray:
             block = k[rows, cols]
             if block.nnz == 0:
                 continue
-            x = solve_triangular(li, block.toarray(), lower=True, check_finite=False)
+            x = (solved or {}).get((i, j))
+            if x is None:
+                x = solve_triangular(li, block.toarray(), lower=True, check_finite=False)
             x = solve_triangular(lj, x.T, lower=True, check_finite=False).T
             e[rows, cols] = 0.5 * (x + x.T) if i == j else x
             e[cols, rows] = e[rows, cols].T
@@ -313,9 +315,10 @@ def preconditioned_dense(k: np.ndarray, p_blocks: list[np.ndarray]) -> np.ndarra
     return _congruence(sp.csr_matrix(k), factors)
 
 
-def _bdal_factors(sys: KktSystem, prec: Preconditioner) -> list[np.ndarray]:
-    """Cholesky factors of the exact BDAL blocks. With P3 = W / rho = L3 L3^T
-    and C = L3^(-1) A, P2 = BtB + rho At W^(-1) A is exactly BtB + Ct C."""
+def _bdal_factors(sys: KktSystem, prec: Preconditioner) -> tuple[list[np.ndarray], dict]:
+    """Cholesky factors of the exact BDAL blocks, and C = L3^(-1) A under
+    the zero-based key (2, 1) of K's block (3, 2), for _congruence. With
+    P3 = W / rho = L3 L3^T, P2 = BtB + rho At W^(-1) A is exactly BtB + Ct C."""
     if prec.kind != BDAL_EXACT:
         raise ValueError(
             "dense spectral verification needs the exact-mass preconditioner "
@@ -326,7 +329,7 @@ def _bdal_factors(sys: KktSystem, prec: Preconditioner) -> list[np.ndarray]:
     l1 = _cholesky(sys.alpha * sys.reg.toarray() + rho * w, "P1")
     l3 = _cholesky((1.0 / rho) * w, "P3")
     c = solve_triangular(l3, sys.forward.toarray(), lower=True, check_finite=False)
-    return [l1, _cholesky(sys.btb.toarray() + c.T @ c, "P2"), l3]
+    return [l1, _cholesky(sys.btb.toarray() + c.T @ c, "P2"), l3], {(2, 1): c}
 
 
 def preconditioned_kkt_dense(
@@ -335,23 +338,16 @@ def preconditioned_kkt_dense(
     """Dense symmetric preconditioned KKT operator (desk scale only)."""
     if sys.dim > max_dim:
         raise DeskScaleError(f"dense verification refused at dim {sys.dim} > {max_dim}")
-    return _congruence(sys.matrix, _bdal_factors(sys, prec))
-
-
-def _coupling(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    return e[2 * n :, :n], e[2 * n :, n : 2 * n]
+    return _congruence(sys.matrix, *_bdal_factors(sys, prec))
 
 
 def coupling_blocks(sys: KktSystem, prec: Preconditioner) -> tuple[np.ndarray, np.ndarray]:
     """The scaled coupling blocks F = L3^(-1) (-W) L1^(-T) (parameter) and
     G = L3^(-1) A L2^(-T) (state) of E. The symmetric-root blocks are Q F V1
     and Q G V2 with Q, V1, V2 orthogonal, so no derived constant changes."""
-    return _coupling(_congruence(sys.matrix, _bdal_factors(sys, prec)), sys.n)
-
-
-def _check(label: str, ok: bool, failures: list[str]) -> None:
-    if not ok:
-        failures.append(label)
+    n = sys.n
+    y = _congruence(sys.matrix, *_bdal_factors(sys, prec))[2 * n :, : 2 * n]
+    return y[:, :n], y[:, n:]
 
 
 def verify_spectral_bounds(
@@ -363,33 +359,27 @@ def verify_spectral_bounds(
     the five bounds with the given slack. Raises TheoryViolationError
     (carrying the report) if any fails.
     """
+    n = sys.n
     e = preconditioned_kkt_dense(sys, prec, max_dim=max_dim)
-    f, g = (block.copy() for block in _coupling(e, sys.n))
-    eig_e = np.linalg.eigvalsh(e)
-    del e  # 9n^2 doubles; only F and G are read from here on
-    sigma = np.abs(eig_e)
+    y = e[2 * n :, : 2 * n].copy()
+    f, g = y[:, :n], y[:, n:]
+    # E is exactly symmetric, so e.T is a Fortran-ordered view of it that
+    # LAPACK overwrites in place, with no second 9n^2 buffer.
+    sigma = np.abs(eigh(e.T, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"))
+    del e
     sigma_max = float(sigma.max())
     sigma_min = float(sigma.min())
     cond = sigma_max / sigma_min
 
     q_reg = f @ f.T
-    q_data = g @ g.T
-    delta = 0.5 * float(np.linalg.eigvalsh(q_reg + q_data)[0])
-    sq = _sqrt_psd(q_reg)
-    beta_sq = float(np.linalg.eigvalsh(sq @ q_data @ sq)[-1])
+    delta = 0.5 * float(np.linalg.eigvalsh(q_reg + g @ g.T)[0])
+    # Q_reg Q_data = (F F^T G) G^T shares its nonzero spectrum with G^T Q_reg G.
+    beta_sq = float(np.linalg.eigvalsh(g.T @ q_reg @ g)[-1])
     beta = math.sqrt(max(beta_sq, 0.0))
 
-    n = sys.n
-    y = np.hstack([f, g])
     sigma_min_y = float(np.sqrt(max(np.linalg.eigvalsh(y @ y.T)[0], 0.0)))
-
-    coercivity = np.zeros((2 * n, 2 * n))
-    coercivity[:n, :n] = np.eye(n)
-    coercivity[n:, n:] = np.eye(n)
-    ftg = f.T @ g
-    coercivity[:n, n:] = ftg
-    coercivity[n:, :n] = ftg.T
-    lambda_min_coercivity = float(np.linalg.eigvalsh(coercivity)[0])
+    # lambda_min([[I, F^T G], [G^T F, I]]) = 1 - sigma_max(F^T G)
+    lambda_min_coercivity = 1.0 - float(svdvals(f.T @ g)[0])
 
     constants = AmGmConstants(delta=delta, beta=beta)
     bound_sigma = sigma_min_bound(constants)
@@ -410,24 +400,20 @@ def verify_spectral_bounds(
     def leq(lhs, rhs):
         return lhs <= rhs + slack * max(1.0, abs(rhs))
 
-    failures: list[str] = []
-    _check(f"sigma_max(E) = {sigma_max:.12g} <= 2", leq(sigma_max, 2.0), failures)
-    _check(
-        f"sigma_min(E) = {sigma_min:.12g} >= {bound_sigma:.12g}",
-        leq(bound_sigma, sigma_min),
-        failures,
-    )
-    _check(f"cond(E) = {cond:.12g} <= {bound_c:.12g}", leq(cond, bound_c), failures)
-    _check(
-        f"sigma_min(Y) = {sigma_min_y:.12g} >= sqrt(2 delta) = {math.sqrt(2*delta):.12g}",
-        leq(math.sqrt(2.0 * delta), sigma_min_y),
-        failures,
-    )
-    _check(
-        f"lambda_min(X + YtY) = {lambda_min_coercivity:.12g} >= 1 - beta = {1-beta:.12g}",
-        leq(1.0 - beta, lambda_min_coercivity),
-        failures,
-    )
+    checks = [
+        (f"sigma_max(E) = {sigma_max:.12g} <= 2", leq(sigma_max, 2.0)),
+        (f"sigma_min(E) = {sigma_min:.12g} >= {bound_sigma:.12g}", leq(bound_sigma, sigma_min)),
+        (f"cond(E) = {cond:.12g} <= {bound_c:.12g}", leq(cond, bound_c)),
+        (
+            f"sigma_min(Y) = {sigma_min_y:.12g} >= sqrt(2 delta) = {math.sqrt(2*delta):.12g}",
+            leq(math.sqrt(2.0 * delta), sigma_min_y),
+        ),
+        (
+            f"lambda_min(X + YtY) = {lambda_min_coercivity:.12g} >= 1 - beta = {1-beta:.12g}",
+            leq(1.0 - beta, lambda_min_coercivity),
+        ),
+    ]
+    failures = [label for label, ok in checks if not ok]
     if failures:
         raise TheoryViolationError("; ".join(failures), report)
     return report

@@ -54,6 +54,13 @@ def make_instance(nx=4, ny=4, n_obs=6, alpha=1e-2, seed=1, lx=1.45, ly=1.0,
     return build_kkt(ops, alpha, y)
 
 
+def sqrt_psd(m):
+    """Symmetric square root of a PSD matrix from its eigendecomposition,
+    with negative rounding-level eigenvalues clipped to zero."""
+    vals, q = np.linalg.eigh(m)
+    return (q * np.sqrt(np.clip(vals, 0.0, None))) @ q.T
+
+
 def random_spd(n, rng, shift=1.0):
     a = rng.standard_normal((n, n))
     return a.T @ a + shift * np.eye(n)

@@ -1,6 +1,6 @@
-"""Dense factorizations the spectral verifier does itself: the eigenvalue
-square root of a PSD matrix and the Cholesky factor of a preconditioner
-block."""
+"""Dense factorizations behind the spectral checks: the eigenvalue square
+root of a PSD matrix (the test oracle for beta, in helpers) and the Cholesky
+factor the verifier takes of each preconditioner block."""
 
 import math
 
@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from helpers import random_spd
-from kktprec.spectral import NotSpdError, _cholesky, _sqrt_psd
+from helpers import sqrt_psd as _sqrt_psd
+from kktprec.spectral import NotSpdError, _cholesky
 
 
 def test_eig_diagonal_sorted():

@@ -25,6 +25,7 @@ from kktprec import (
     synth_source,
     synthesize_data,
 )
+from kktprec import kkt
 from kktprec.config import ExperimentConfig
 from kktprec.formats import write_observations
 from kktprec.harness import run_mesh_study
@@ -348,7 +349,9 @@ def test_singular_blocks_raise_named_errors(kkt_2x2):
     n = kkt_2x2.n
     empty = sp.csr_matrix((n, n))
     # Without A, block 2 = BtB has empty columns away from the observations.
-    no_forward = dataclasses.replace(kkt_2x2, forward=empty)
+    # The lumped kinds read A^T W_L^-1 A from the operators, so A goes from both.
+    ops = dataclasses.replace(kkt_2x2.ops, forward=empty)
+    no_forward = dataclasses.replace(kkt_2x2, forward=empty, ops=ops)
     with pytest.raises(SingularMatrixError, match="block 2"):
         build_preconditioner(no_forward, BDAL_LUMPED_EXACT)
     lazy = build_preconditioner(no_forward, BDAL_EXACT)
@@ -398,6 +401,32 @@ def test_bdal_exact_mesh_study_counts(tmp_path):
     )
     counts = [row["iters-to-target"] for row in run_mesh_study(cfg)]
     assert counts == [47, 45, 44, 44]
+
+
+def _same_csr(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("data", "indices", "indptr"))
+
+
+def test_alpha_independent_products_formed_once(kkt_2x2, monkeypatch):
+    ops = assemble_problem(kkt_2x2.ops.mesh, kkt_2x2.ops.obs)
+    triple = kkt._triple_product
+    calls = []
+
+    def counting(a, d):
+        calls.append(a)
+        return triple(a, d)
+
+    monkeypatch.setattr(kkt, "_triple_product", counting)
+    for alpha in (1e-2, 1e-6):
+        sys = build_kkt(ops, alpha, kkt_2x2.y)
+        assert sys.btb is ops.btb
+        for kind in (BDAL_LUMPED_EXACT, BDAL_LUMPED_INEXACT):
+            build_preconditioner(sys, kind)
+    assert len(calls) == 2
+    assert calls[0] is ops.observation and calls[1] is ops.forward
+    n_obs = ops.observation.shape[0]
+    assert _same_csr(ops.btb, triple(ops.observation, np.ones(n_obs)))
+    assert _same_csr(ops.at_lumped_inv_a, triple(ops.forward, 1.0 / ops.mass_lumped))
 
 
 def test_reduced_hessian_factors_forward_once(kkt_2x2, factors):

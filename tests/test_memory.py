@@ -1,0 +1,61 @@
+"""Peak memory of the dense spectral verifier, measured in a fresh process
+so that no other test's allocations set the high-water mark."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import kktprec
+
+# The verification runs in a forked child: a new process's ru_maxrss starts
+# at the resident size it was forked with, whereas this interpreter's starts
+# at whatever the process that launched it held.
+_PROBE = """
+import kktprec
+import json, os, resource
+import numpy as np
+from kktprec import (BDAL_EXACT, assemble_problem, build_kkt, build_mesh,
+                     build_preconditioner, generate_observations, verify_spectral_bounds)
+
+def verify(nx, ny):
+    mesh = build_mesh(1.45, 1.0, nx, ny)
+    ops = assemble_problem(mesh, generate_observations(1, 200, 1.45, 1.0))
+    kkt = build_kkt(ops, 1e-6, np.zeros(200))
+    verify_spectral_bounds(kkt, build_preconditioner(kkt, BDAL_EXACT))
+    return kkt.n
+
+verify(2, 2)  # lazy set-up and allocator pools come first
+read, write = os.pipe()
+if os.fork() == 0:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    n = verify(20, 14)
+    growth_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    os.write(write, json.dumps(growth_kib * 1024 / (8 * n * n)).encode())
+    os._exit(0)
+os.close(write)
+print(os.read(read, 64).decode())
+os.wait()
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+def test_verifier_peak_rss_growth_in_n_squared_doubles():
+    # E alone is 9 n^2 doubles. With E's eigenvalues solved in place the
+    # growth reads about 27 n^2 at 20x14 (E, the coupling rows, the
+    # congruence's dense factors and temporaries, allocator overhead); a
+    # second copy of E for the eigensolve read 33.7.
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kktprec.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=300,
+    )
+    assert json.loads(out.stdout) < 30.0

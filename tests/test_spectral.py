@@ -6,7 +6,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_instance, splitmix64_reference
+from helpers import make_instance, splitmix64_reference, sqrt_psd
 from kktprec import (
     BDAL_EXACT,
     BDAL_LUMPED_EXACT,
@@ -23,11 +23,13 @@ from kktprec import (
     stability_sigma_max,
     verify_spectral_bounds,
 )
+from kktprec import spectral
 from kktprec.spectral import (
     AssumptionViolationError,
     DeskScaleError,
     IllPosedModeError,
     NotSpdError,
+    TheoryViolationError,
     coupling_blocks,
     preconditioned_dense,
 )
@@ -367,3 +369,55 @@ def test_coercivity_eigenstructure(kkt_2x2):
     target = np.sort(np.linalg.eigvalsh(g.T @ f @ f.T @ g))
     for value in shifted_sq:
         assert np.min(np.abs(target - value)) <= 1e-10 * max(1.0, value)
+
+
+# --- dense oracles for the verifier's shortcuts -----------------------------
+
+@pytest.fixture(
+    scope="module",
+    params=[(10, 7, 1e-2), (10, 7, 1e-6), (20, 14, 1e-2), (20, 14, 1e-6)],
+    ids=lambda p: f"{p[0]}x{p[1]}-alpha{p[2]:g}",
+)
+def verified(request):
+    nx, ny, alpha = request.param
+    sys = make_instance(nx=nx, ny=ny, n_obs=200, alpha=alpha)
+    p = build_preconditioner(sys, BDAL_EXACT)
+    return sys, p, verify_spectral_bounds(sys, p)
+
+
+def test_coercivity_matches_dense_eigensolve(verified):
+    # check 5 reads 1 - sigma_max(F^T G) from an n x n SVD; the oracle is the
+    # lowest eigenvalue of the 2n x 2n matrix [[I, F^T G], [G^T F, I]]
+    sys, p, report = verified
+    f, g = coupling_blocks(sys, p)
+    n = sys.n
+    coercivity = np.eye(2 * n)
+    coercivity[:n, n:] = f.T @ g
+    coercivity[n:, :n] = (f.T @ g).T
+    assert abs(report.lambda_min_coercivity - np.linalg.eigvalsh(coercivity)[0]) <= 1e-12
+
+
+def test_beta_matches_square_root_route(verified):
+    # beta^2 = lambda_max(Q_reg^1/2 Q_data Q_reg^1/2), through a full
+    # eigendecomposition of Q_reg = F F^T
+    sys, p, report = verified
+    f, g = coupling_blocks(sys, p)
+    sq = sqrt_psd(f @ f.T)
+    want = math.sqrt(max(np.linalg.eigvalsh(sq @ (g @ g.T) @ sq)[-1], 0.0))
+    assert abs(report.beta - want) <= 1e-12 * want
+
+
+def test_extreme_singular_values_match_eigvalsh(verified):
+    sys, p, report = verified
+    sigma = np.abs(np.linalg.eigvalsh(preconditioned_kkt_dense(sys, p)))
+    assert abs(report.sigma_min_e - sigma.min()) <= 1e-13 * sigma.min()
+    assert abs(report.sigma_max_e - sigma.max()) <= 1e-13 * sigma.max()
+
+
+def test_coercivity_violation_raises(kkt_2x2, monkeypatch):
+    p = build_preconditioner(kkt_2x2, BDAL_EXACT)
+    beta = verify_spectral_bounds(kkt_2x2, p).beta
+    monkeypatch.setattr(spectral, "svdvals", lambda m: np.array([beta + 1e-6]))
+    with pytest.raises(TheoryViolationError, match=r"^lambda_min\(X \+ YtY\)") as exc:
+        verify_spectral_bounds(kkt_2x2, p)
+    assert exc.value.report.lambda_min_coercivity == 1.0 - (beta + 1e-6)
