@@ -35,18 +35,6 @@ from .kkt import (
 )
 from .krylov import minres, pcg
 from .mesh import ObservationSet, build_mesh
-from .spectral import (
-    AmGmConstants,
-    SpectralFilterModel,
-    amgm_constants_exact,
-    amgm_constants_from_filter,
-    cond_bound,
-    laplacian_source_model,
-    preconditioned_kkt_dense,
-    reconstruction_error_modes,
-    sigma_min_bound,
-    stability_sigma_max,
-    verify_spectral_bounds,
-)
+from .spectral import AmGmConstants, cond_bound, sigma_min_bound, verify_spectral_bounds
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -392,13 +392,9 @@ def run_theory_verification(
             ops = _assemble_operators(cfg, mesh, _obs_source(cfg, n_obs, out))
             jobs += [(ops, nx, ny, n_obs, alpha, cfg.rho_for(alpha)) for alpha in cfg.alpha]
     rows = map_in_order(_theory_row, jobs)
-    header = (
-        "run-id,nx,ny,n-obs,alpha,rho,delta,beta,sigma-min-e,sigma-max-e,cond-e,"
-        "bound-sigma-min,bound-cond,sigma-min-y,lambda-min-coercivity,pass"
-    )
-    lines = [header]
+    measured = [f.name.replace("_", "-") for f in fields(ConditionReport)]
+    lines = [",".join(["run-id", "nx", "ny", "n-obs", "alpha", "rho", *measured, "pass"])]
     for row in rows:
-        rep: ConditionReport = row["report"]
         lines.append(
             ",".join(
                 [
@@ -408,15 +404,7 @@ def run_theory_verification(
                     str(row["n-obs"]),
                     _fmt(row["alpha"]),
                     _fmt(row["rho"]),
-                    _fmt(rep.delta),
-                    _fmt(rep.beta),
-                    _fmt(rep.sigma_min_e),
-                    _fmt(rep.sigma_max_e),
-                    _fmt(rep.cond_e),
-                    _fmt(rep.bound_sigma_min),
-                    _fmt(rep.bound_cond),
-                    _fmt(rep.sigma_min_y),
-                    _fmt(rep.lambda_min_coercivity),
+                    *map(_fmt, astuple(row["report"])),
                     str(row["pass"]).lower(),
                 ]
             )

@@ -57,7 +57,6 @@ class SolveReport:
     ||ref - select(x_k)|| / ||ref|| per iterate.
     """
 
-    track_error: bool
     iterations: int
     converged: bool
     residual_history: np.ndarray
@@ -123,7 +122,6 @@ def minres(
 
     if beta1 == 0.0:
         return SolveReport(
-            track_error=err is not None,
             iterations=0,
             converged=True,
             residual_history=np.array(res_hist),
@@ -199,7 +197,6 @@ def minres(
             break
 
     return SolveReport(
-        track_error=err is not None,
         iterations=iterations,
         converged=converged,
         residual_history=np.array(res_hist),
@@ -244,7 +241,6 @@ def pcg(
 
     if res0 == 0.0:
         return SolveReport(
-            track_error=err is not None,
             iterations=0,
             converged=True,
             residual_history=np.array(res_hist),
@@ -283,7 +279,6 @@ def pcg(
         rz = rz_new
 
     return SolveReport(
-        track_error=err is not None,
         iterations=iterations,
         converged=converged,
         residual_history=np.array(res_hist),

@@ -12,6 +12,12 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from filter_model import (
+    amgm_constants_exact,
+    amgm_constants_from_filter,
+    laplacian_source_model,
+    stability_sigma_max,
+)
 from helpers import make_instance
 from kktprec.cli import main
 from kktprec.config import ExperimentConfig
@@ -35,12 +41,6 @@ from kktprec.kkt import (
 from kktprec.krylov import minres, pcg
 from kktprec.mesh import build_mesh
 from kktprec.rng import SplitMix64
-from kktprec.spectral import (
-    amgm_constants_exact,
-    amgm_constants_from_filter,
-    laplacian_source_model,
-    stability_sigma_max,
-)
 
 
 def _report(n, ok, detail):

@@ -40,5 +40,8 @@ def test_eig_reconstruction(n):
 
 
 def test_spd_solve_rejects_indefinite():
-    with pytest.raises(NotSpdError, match="block P1"):
-        _cholesky(np.diag([1.0, -1.0]), "P1")
+    # the error names the block, so a failed verification says which of
+    # P1, P2, P3 lost definiteness
+    for name in ("P1", "P2", "P3"):
+        with pytest.raises(NotSpdError, match=f"block {name} "):
+            _cholesky(np.diag([1.0, -1.0]), name)

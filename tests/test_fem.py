@@ -13,7 +13,6 @@ from kktprec import (
     lump_mass,
 )
 from kktprec.fem import (
-    PenaltyTooSmallError,
     assemble_stiffness_neumann,
     p1_gradients,
     p1_mass_element,
@@ -102,13 +101,14 @@ def test_nitsche_exact_symmetry():
 
 
 def test_nitsche_positive_definite_at_default_penalty():
-    a = assemble_stiffness_nitsche(build_mesh(1.45, 1.0, 4, 3), verify=True)
+    a = assemble_stiffness_nitsche(build_mesh(1.45, 1.0, 4, 3))
     assert np.linalg.eigvalsh(a.toarray())[0] > 0.0
 
 
 def test_nitsche_rejects_tiny_penalty():
-    with pytest.raises(PenaltyTooSmallError):
-        assemble_stiffness_nitsche(build_mesh(1.0, 1.0, 4, 4), gamma0=1e-3, verify=True)
+    # too small a penalty loses coercivity: the assembled form is indefinite
+    a = assemble_stiffness_nitsche(build_mesh(1.0, 1.0, 4, 4), gamma0=1e-3)
+    assert np.linalg.eigvalsh(a.toarray())[0] <= 0.0
 
 
 def test_nitsche_rejects_nonpositive_penalty():

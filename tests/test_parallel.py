@@ -11,9 +11,10 @@ import sys
 
 import pytest
 
+from filter_model import AssumptionViolationError
 import kktprec
 from kktprec import parallel
-from kktprec.spectral import AssumptionViolationError, ConditionReport, TheoryViolationError
+from kktprec.spectral import ConditionReport, TheoryViolationError
 
 _REPORT = ConditionReport(*(float(k) for k in range(1, 10)))
 

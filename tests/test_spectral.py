@@ -6,33 +6,26 @@ import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filter_model import (
+    AssumptionViolationError,
+    SpectralFilterModel,
+    amgm_constants_exact,
+    amgm_constants_from_filter,
+    laplacian_source_model,
+    stability_sigma_max,
+)
 from helpers import make_instance, splitmix64_reference, sqrt_psd
 from kktprec import (
     BDAL_EXACT,
     BDAL_LUMPED_EXACT,
     AmGmConstants,
-    SpectralFilterModel,
-    amgm_constants_exact,
-    amgm_constants_from_filter,
     build_preconditioner,
     cond_bound,
-    laplacian_source_model,
-    preconditioned_kkt_dense,
-    reconstruction_error_modes,
     sigma_min_bound,
-    stability_sigma_max,
     verify_spectral_bounds,
 )
 from kktprec import spectral
-from kktprec.spectral import (
-    AssumptionViolationError,
-    DeskScaleError,
-    IllPosedModeError,
-    NotSpdError,
-    TheoryViolationError,
-    coupling_blocks,
-    preconditioned_dense,
-)
+from kktprec.spectral import DeskScaleError, TheoryViolationError, preconditioned_kkt_dense
 
 
 # --- filter constants --------------------------------------------------------
@@ -177,43 +170,6 @@ def test_sigma_min_bound_consistent_with_psi():
         assert closed <= via_psi + 1e-12
 
 
-# --- error decomposition -----------------------------------------------------
-
-def test_error_modes_zero_noise():
-    m = laplacian_source_model(6, 4, lambda k: float(k), alpha=0.5)
-    e_noise, e_bias = reconstruction_error_modes(m, np.ones(6), np.zeros(6))
-    assert np.all(e_noise == 0.0)
-    assert np.all(np.abs(e_bias) > 0.0)
-
-
-def test_error_modes_no_regularization():
-    m = SpectralFilterModel(forward_sv=np.array([2.0, 1.0]),
-                            reg_sv=np.array([1.0, 2.0]), alpha=0.0, rho=1.0)
-    e_noise, e_bias = reconstruction_error_modes(m, np.ones(2), np.ones(2))
-    assert np.all(e_bias == 0.0)
-    assert np.allclose(e_noise, [-0.5, -1.0])
-
-
-def test_error_modes_per_mode_arithmetic():
-    m = laplacian_source_model(4, 2, lambda k: float(k), alpha=1.0)
-    q = np.array([1.0, 2.0, 3.0, 4.0])
-    zeta = np.array([0.5, 0.5, 0.5, 0.5])
-    e_noise, e_bias = reconstruction_error_modes(m, q, zeta)
-    for k in range(4):
-        d = m.forward_sv[k]
-        r = m.reg_sv[k]
-        denom = d * d + r * r
-        assert abs(e_noise[k] - (-d / denom * zeta[k])) <= 1e-15
-        assert abs(e_bias[k] - (r * r / denom * q[k])) <= 1e-15
-
-
-def test_error_modes_detect_ill_posed():
-    m = SpectralFilterModel(forward_sv=np.array([1.0, 0.0]),
-                            reg_sv=np.array([1.0, 0.0]), alpha=1.0, rho=1.0)
-    with pytest.raises(IllPosedModeError):
-        reconstruction_error_modes(m, np.ones(2), np.ones(2))
-
-
 # --- model problem -----------------------------------------------------------
 
 def test_laplacian_model_sequences():
@@ -247,29 +203,6 @@ def test_model_validates_ordering():
 
 # --- dense operator verification --------------------------------------------
 
-def test_preconditioned_dense_identity_for_matching_blocks():
-    rng = np.random.default_rng(24)
-    blocks = []
-    for n in (3, 4, 2):
-        a = rng.standard_normal((n, n))
-        blocks.append(a.T @ a + np.eye(n))
-    k = np.zeros((9, 9))
-    k[:3, :3] = blocks[0]
-    k[3:7, 3:7] = blocks[1]
-    k[7:, 7:] = blocks[2]
-    e = preconditioned_dense(k, blocks)
-    assert np.linalg.norm(e - np.eye(9)) <= 1e-10
-    sigmas = np.abs(np.linalg.eigvalsh(e))
-    assert sigmas.max() / sigmas.min() <= 1.0 + 1e-10
-
-
-def test_preconditioned_dense_names_non_spd_block():
-    good = np.eye(2)
-    bad = np.diag([1.0, -1.0])
-    with pytest.raises(NotSpdError, match="P2"):
-        preconditioned_dense(np.eye(6), [good, bad, good])
-
-
 def _exact_bdal_blocks(sys, rho):
     # P1, P2, P3 of the exact kind assembled directly from their definitions
     w = sys.mass.toarray()
@@ -286,6 +219,13 @@ def _symmetric_root_coupling(sys, rho):
 
     s1, s2, s3 = (inv_sqrt(p) for p in _exact_bdal_blocks(sys, rho))
     return s3 @ (-sys.mass.toarray()) @ s1, s3 @ sys.forward.toarray() @ s2
+
+
+def _coupling(sys, p):
+    """F and G, sliced out of E's last block row."""
+    n = sys.n
+    y = preconditioned_kkt_dense(sys, p)[2 * n :, : 2 * n]
+    return y[:, :n], y[:, n:]
 
 
 @pytest.fixture(scope="module")
@@ -309,7 +249,7 @@ def test_preconditioned_kkt_matches_generalized_eigenproblem(name, request):
 def test_coupling_blocks_match_symmetric_roots(name, request):
     sys = request.getfixturevalue(name)
     p = build_preconditioner(sys, BDAL_EXACT)
-    for got, want in zip(coupling_blocks(sys, p), _symmetric_root_coupling(sys, p.rho)):
+    for got, want in zip(_coupling(sys, p), _symmetric_root_coupling(sys, p.rho)):
         sv_got = np.linalg.svd(got, compute_uv=False)
         sv_want = np.linalg.svd(want, compute_uv=False)
         assert np.max(np.abs(sv_got - sv_want)) <= 1e-10 * sv_want[0]
@@ -327,10 +267,31 @@ def test_preconditioned_kkt_requires_exact_kind(kkt_2x2):
         preconditioned_kkt_dense(kkt_2x2, p)
 
 
-def test_desk_scale_refusal(kkt_2x2):
-    p = build_preconditioner(kkt_2x2, BDAL_EXACT)
-    with pytest.raises(DeskScaleError):
-        verify_spectral_bounds(kkt_2x2, p, max_dim=10)
+def test_desk_scale_refusal(monkeypatch):
+    # 41 x 29 vertices give dim 3567 > 3000; the size is checked before any
+    # preconditioner block is densified or factored
+    sys = make_instance(nx=40, ny=28, n_obs=50, alpha=1e-2)
+    p = build_preconditioner(sys, BDAL_EXACT)
+    monkeypatch.setattr(spectral, "_cholesky", lambda *args: pytest.fail("dense work began"))
+    with pytest.raises(DeskScaleError, match="dim 3567 > 3000"):
+        verify_spectral_bounds(sys, p)
+
+
+@pytest.mark.parametrize("name", ["kkt_2x2", "kkt_10x7"])
+def test_exact_kind_block_structure(name, request):
+    # With P1 = alpha R*R + rho W and P2 = BtB + C^T C, the diagonal blocks
+    # of E are I - F^T F and I - G^T G, and E's other blocks vanish. So
+    # Y Y^T = F F^T + G G^T and X + Y^T Y = [[I, F^T G], [G^T F, I]]: checks
+    # 4 and 5 of the verifier hold with equality.
+    sys = request.getfixturevalue(name)
+    n = sys.n
+    e = preconditioned_kkt_dense(sys, build_preconditioner(sys, BDAL_EXACT))
+    q, u, eta = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    f, g = e[eta, q], e[eta, u]
+    assert np.all(e[q, u] == 0.0) and np.all(e[u, q] == 0.0)
+    assert np.all(e[eta, eta] == 0.0)
+    assert np.max(np.abs(e[q, q] - (np.eye(n) - f.T @ f))) <= 1e-12
+    assert np.max(np.abs(e[u, u] - (np.eye(n) - g.T @ g))) <= 1e-12
 
 
 def test_verify_bounds_small_instance():
@@ -347,7 +308,7 @@ def test_verify_bounds_small_instance():
 
 def test_damped_projector_eigenvalues_in_unit_interval(kkt_2x2):
     p = build_preconditioner(kkt_2x2, BDAL_EXACT)
-    f, g = coupling_blocks(kkt_2x2, p)
+    f, g = _coupling(kkt_2x2, p)
     for q in (f @ f.T, g @ g.T):
         eigs = np.linalg.eigvalsh(q)
         assert eigs.min() >= -1e-10
@@ -358,7 +319,7 @@ def test_coercivity_eigenstructure(kkt_2x2):
     # eigenvalues of [[I, F^T G], [G^T F, I]] sit at 1 +- singular values of
     # F^T G, so |lambda - 1|^2 lies in the spectrum of G^T F F^T G
     p = build_preconditioner(kkt_2x2, BDAL_EXACT)
-    f, g = coupling_blocks(kkt_2x2, p)
+    f, g = _coupling(kkt_2x2, p)
     n = f.shape[1]
     m = f.T @ g
     coercivity = np.eye(2 * n)
@@ -389,7 +350,7 @@ def test_coercivity_matches_dense_eigensolve(verified):
     # check 5 reads 1 - sigma_max(F^T G) from an n x n SVD; the oracle is the
     # lowest eigenvalue of the 2n x 2n matrix [[I, F^T G], [G^T F, I]]
     sys, p, report = verified
-    f, g = coupling_blocks(sys, p)
+    f, g = _coupling(sys, p)
     n = sys.n
     coercivity = np.eye(2 * n)
     coercivity[:n, n:] = f.T @ g
@@ -401,7 +362,7 @@ def test_beta_matches_square_root_route(verified):
     # beta^2 = lambda_max(Q_reg^1/2 Q_data Q_reg^1/2), through a full
     # eigendecomposition of Q_reg = F F^T
     sys, p, report = verified
-    f, g = coupling_blocks(sys, p)
+    f, g = _coupling(sys, p)
     sq = sqrt_psd(f @ f.T)
     want = math.sqrt(max(np.linalg.eigvalsh(sq @ (g @ g.T) @ sq)[-1], 0.0))
     assert abs(report.beta - want) <= 1e-12 * want
