@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +27,12 @@ from kktprec import (
     verify_spectral_bounds,
 )
 from kktprec import spectral
-from kktprec.spectral import DeskScaleError, TheoryViolationError, preconditioned_kkt_dense
+from kktprec.spectral import (
+    DeskScaleError,
+    NotSpdError,
+    TheoryViolationError,
+    preconditioned_kkt_dense,
+)
 
 
 # --- filter constants --------------------------------------------------------
@@ -265,6 +272,15 @@ def test_preconditioned_kkt_requires_exact_kind(kkt_2x2):
     p = build_preconditioner(kkt_2x2, BDAL_LUMPED_EXACT)
     with pytest.raises(ValueError):
         preconditioned_kkt_dense(kkt_2x2, p)
+
+
+def test_preconditioned_dense_names_non_spd_block(kkt_2x2):
+    # P1 and P3 stay definite; P2 = BtB + Ct C loses definiteness when the
+    # data block is made strongly negative, and the error says which block
+    p = build_preconditioner(kkt_2x2, BDAL_EXACT)
+    bad = dataclasses.replace(kkt_2x2, btb=sp.csr_matrix(-1e12 * np.eye(kkt_2x2.n)))
+    with pytest.raises(NotSpdError, match="block P2 "):
+        preconditioned_kkt_dense(bad, p)
 
 
 def test_desk_scale_refusal(monkeypatch):
