@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Run the full benchmark set from the checked-in config files: spectral
-bound verification, the solver comparison, the mesh study, and the
-(alpha, n_obs) sweep. Extra arguments are passed through to every step,
-so e.g. `run_all.py --set seed=7` reruns everything under another seed.
-Each step's wall time is printed after it, and the total at the end."""
+bound verification, the solver comparison, the mesh study, the
+(alpha, n_obs) sweep, and the mesh study at scale (58x40 to 232x160).
+Extra arguments are passed through to every step, so e.g.
+`run_all.py --set seed=7` reruns everything under another seed. Each
+step's wall time is printed after it, and the total at the end."""
 
 import sys
 import time
@@ -15,6 +16,7 @@ STEPS = [
     ["convergence", "--config", "configs/benchmark.cfg"],
     ["mesh-study", "--config", "configs/mesh-study.cfg"],
     ["sweep", "--config", "configs/sweep.cfg"],
+    ["mesh-study", "--config", "configs/scale.cfg"],
 ]
 
 if __name__ == "__main__":

@@ -185,33 +185,31 @@ def assemble_regularization(mesh: TriMesh, t: float = DEFAULT_REG_SHIFT) -> sp.c
 
 
 def _barycentric_rows(mesh: TriMesh, points: np.ndarray):
-    """Vertex indices and weights for P1 point evaluation, zeros dropped."""
-    nx, ny = mesh.nx, mesh.ny
-    rows = []
-    cols = []
-    vals = []
-    for k, (x, y) in enumerate(points):
-        if not (0.0 < x < mesh.lx and 0.0 < y < mesh.ly):
-            raise PointLocationError(f"point {k} at ({x}, {y}) outside the open domain")
-        cx = min(int(x / mesh.dx), nx - 1)
-        cy = min(int(y / mesh.dy), ny - 1)
-        xi = x / mesh.dx - cx
-        eta = y / mesh.dy - cy
-        v00 = cy * (nx + 1) + cx
-        v10 = v00 + 1
-        v01 = v00 + (nx + 1)
-        v11 = v01 + 1
-        if xi >= eta:  # lower-right triangle (v00, v10, v11)
-            entries = ((v00, 1.0 - xi), (v10, xi - eta), (v11, eta))
-        else:  # upper-left triangle (v00, v11, v01)
-            entries = ((v00, 1.0 - eta), (v11, xi), (v01, eta - xi))
-        for vtx, lam in entries:
-            if abs(lam) < 1e-14:
-                continue
-            rows.append(k)
-            cols.append(vtx)
-            vals.append(lam)
-    return rows, cols, vals
+    """Vertex indices and weights for P1 point evaluation, zeros dropped,
+    as (rows, cols, vals) arrays ordered by point, then by triangle corner."""
+    nx = mesh.nx
+    x, y = points[:, 0], points[:, 1]
+    inside = (0.0 < x) & (x < mesh.lx) & (0.0 < y) & (y < mesh.ly)
+    if not np.all(inside):
+        k = int(np.argmin(inside))
+        raise PointLocationError(f"point {k} at ({x[k]}, {y[k]}) outside the open domain")
+    cx = np.minimum((x / mesh.dx).astype(np.int64), nx - 1)
+    cy = np.minimum((y / mesh.dy).astype(np.int64), mesh.ny - 1)
+    xi = x / mesh.dx - cx
+    eta = y / mesh.dy - cy
+    v00 = cy * (nx + 1) + cx
+    v10 = v00 + 1
+    v01 = v00 + (nx + 1)
+    v11 = v01 + 1
+    # lower-right triangle (v00, v10, v11) where xi >= eta, else upper-left (v00, v11, v01)
+    lower = (xi >= eta)[:, None]
+    cols = np.where(lower, np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01]))
+    vals = np.where(
+        lower, np.column_stack([1.0 - xi, xi - eta, eta]), np.column_stack([1.0 - eta, xi, eta - xi])
+    )
+    keep = ~(np.abs(vals) < 1e-14)
+    rows = np.broadcast_to(np.arange(points.shape[0])[:, None], keep.shape)
+    return rows[keep], cols[keep], vals[keep]
 
 
 def assemble_observation(mesh: TriMesh, obs: ObservationSet) -> sp.csr_matrix:

@@ -36,9 +36,9 @@ solve of the baseline preconditioner, and the forward and adjoint PDE
 solves (one LU of A per ProblemOperators). Only the spectral verifier
 densifies, one n x n block of KktSystem.matrix at a time.
 
-Every LU except those of A and R*R runs in SuperLU's symmetric mode
-(minimum degree on m^T + m, diagonal pivots). The saddle-point systems are
-first put in matched-pair order, rows and columns permuted so that every
+Every LU except those of A and R*R runs in SuperLU's symmetric mode (one
+ordering for rows and columns, diagonal pivots). The saddle-point systems
+are put in matched-pair order, rows and columns permuted so that every
 diagonal block is SPD (Benzi, Golub, Liesen, Acta Numerica 14, 2005): the
 reference factors
 
@@ -46,9 +46,15 @@ reference factors
     [ BtB   A      0       ] [ eta] = [ Bt y ]
     [ 0    -W      alpha*RR] [ q  ]   [ 0    ]
 
-whose LU holds about half the entries of a COLAMD LU of K. The LUs of A
-and R*R keep COLAMD: they drive the reduced-Hessian CG, whose iteration
-counts follow the rounding of its operator.
+with the unknowns (u, eta, q) of each vertex interleaved, vertex by vertex
+in the geometric nested-dissection order of mesh.nested_dissection_order
+(George, SIAM J. Numer. Anal. 10, 1973), and factors it in that order.
+bdal-exact's augmented P2 system interleaves its (z, mu) the same way.
+Every other symmetric-mode LU orders by minimum degree on m^T + m: the
+lumped block 2 couples vertices two apart, which one-line separators do
+not split, and the coarsest multigrid levels are too small to gain. The
+LUs of A and R*R keep COLAMD: they drive the reduced-Hessian CG, whose
+iteration counts follow the rounding of its operator.
 """
 
 from __future__ import annotations
@@ -69,7 +75,7 @@ from .fem import (
     lump_mass,
 )
 from .krylov import Operator
-from .mesh import ObservationSet, TriMesh
+from .mesh import ObservationSet, TriMesh, nested_dissection_order
 from .multigrid import Cycle
 from .sparse import SparseLU
 
@@ -235,20 +241,24 @@ def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
     backward error <= tol, which for a reasonably conditioned K implies
     ||K z - rhs|| <= tol * ||rhs||.
 
-    The LU is of K in matched-pair order: block rows 3, 2, 1 and columns
-    (u, eta, q), so that the diagonal blocks A, A and alpha*R*R are SPD and
-    the symmetric-mode LU pivots on them. Permuting rows and columns keeps
-    the Frobenius norm and the residual norm, so refining against the
-    permuted matrix is refining against K.
+    The LU is of K permuted in one step: row 3k + (0, 1, 2) is block row
+    (3, 2, 1) of vertex v_k and column 3k + (0, 1, 2) is (u, eta, q) of
+    v_k, with v the nested-dissection order of the mesh's vertices. Each
+    vertex's diagonal blocks come from A, A and alpha*R*R, which are SPD,
+    so SuperLU's symmetric mode pivots on them, and it factors in that
+    order. Permuting rows and columns keeps the Frobenius norm and the
+    residual norm, so refining against the permuted matrix is refining
+    against K.
     """
     if float(np.linalg.norm(sys.rhs)) == 0.0:
         return np.zeros(sys.dim)
     n = sys.n
-    rows = np.r_[2 * n : 3 * n, n : 2 * n, 0:n]
-    cols = np.r_[n : 3 * n, 0:n]
+    vertex = nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)[:, None]
+    rows = (vertex + [2 * n, n, 0]).ravel()
+    cols = (vertex + [n, 2 * n, 0]).ravel()
     matched = sys.matrix[rows][:, cols]
     z = np.empty(sys.dim)
-    z[cols] = SparseLU(matched, "KKT", tol, symmetric=True)(sys.rhs[rows])
+    z[cols] = SparseLU(matched, "KKT", tol, symmetric=True, ordered=True)(sys.rhs[rows])
     return z
 
 
@@ -277,8 +287,9 @@ def build_preconditioner(
     symmetric-mode sparse LUs refined to backward error 1e-12. The
     non-lumped kind applies P2^-1 through one LU of the 2n augmented system
     [[A, -W/rho], [BtB, A]] [z; mu] = [0; r], row-swapped so that both
-    diagonal blocks are A, and factors on first apply, so a singular block
-    raises there, not here.
+    diagonal blocks are A and with (z, mu) interleaved per vertex in
+    nested-dissection order, and factors on first apply, so a singular
+    block raises there, not here.
     The inexact kind applies one fixed multigrid cycle per block
     (multigrid.Cycle): a V-cycle for block 1 and a W-cycle for block 2,
     which reduce to the coarse LU on meshes that cannot be halved.
@@ -303,6 +314,9 @@ def build_preconditioner(
         # Factored on first apply: the spectral verifier reads only kind
         # and rho, and never applies this preconditioner. The augmented
         # system's Schur complement is P2, so its LU applies P2^-1 exactly.
+        order = nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)
+        pairs = (order[:, None] + [0, n]).ravel()
+
         @cache
         def factors() -> tuple[SparseLU, SparseLU, SparseLU]:
             block1 = sys.alpha * sys.reg + rho * sys.mass
@@ -310,11 +324,19 @@ def build_preconditioner(
             return (
                 SparseLU(block1, "block 1", EXACT_SOLVE_TOL, symmetric=True),
                 SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL, symmetric=True),
-                SparseLU(augmented, "block 2", EXACT_SOLVE_TOL, symmetric=True),
+                SparseLU(
+                    augmented[pairs][:, pairs], "block 2", EXACT_SOLVE_TOL, symmetric=True, ordered=True
+                ),
             )
 
+        def solve2(r: np.ndarray) -> np.ndarray:
+            rhs = np.zeros(2 * n)
+            rhs[1::2] = r[order]
+            z = np.empty(n)
+            z[order] = factors()[2](rhs)[::2]
+            return z
+
         solve1 = lambda r: factors()[0](r)
-        solve2 = lambda r: factors()[2](np.concatenate([np.zeros(n), r]))[:n]
         solve3 = lambda r: rho * factors()[1](r)
 
     else:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -97,6 +98,47 @@ def build_mesh(lx: float, ly: float, nx: int, ny: int) -> TriMesh:
     tris[1::2] = np.column_stack([v00, v11, v01])  # upper-left triangle
     return TriMesh(lx=float(lx), ly=float(ly), nx=int(nx), ny=int(ny),
                    vertices=vertices, triangles=tris)
+
+
+# Boxes of at most this many vertices are not cut further.
+DISSECTION_LEAF = 4
+
+
+def bisect(xs: range, ys: range) -> tuple[tuple[range, range], ...]:
+    """Cut the box xs x ys of grid vertices at the middle row or column of
+    its longer side: (first half, second half, separator), each a box.
+    With up-right diagonals a vertex couples only to vertices at most one
+    row and one column away, so no P1 entry joins the two halves."""
+    if len(xs) >= len(ys):
+        mid = xs[len(xs) // 2]
+        return (range(xs.start, mid), ys), (range(mid + 1, xs.stop), ys), (range(mid, mid + 1), ys)
+    mid = ys[len(ys) // 2]
+    return (xs, range(ys.start, mid)), (xs, range(mid + 1, ys.stop)), (xs, range(mid, mid + 1))
+
+
+@cache
+def nested_dissection_order(nx: int, ny: int) -> np.ndarray:
+    """Nested-dissection order of the (nx+1) x (ny+1) vertex grid: each box
+    is cut by bisect, and its two halves come first, each ordered the same
+    way, then the separator (George, SIAM J. Numer. Anal. 10, 1973). Boxes
+    of at most DISSECTION_LEAF vertices keep row-major order. Entry k is
+    the vertex eliminated k-th; the array is read-only."""
+
+    def boxes(xs: range, ys: range):
+        if len(xs) * len(ys) <= DISSECTION_LEAF:
+            yield xs, ys
+        else:
+            first, second, separator = bisect(xs, ys)
+            yield from boxes(*first)
+            yield from boxes(*second)
+            yield separator
+
+    order = np.concatenate(
+        [(np.arange(ys.start, ys.stop)[:, None] * (nx + 1) + np.arange(xs.start, xs.stop)).ravel()
+         for xs, ys in boxes(range(nx + 1), range(ny + 1))]
+    )
+    order.flags.writeable = False
+    return order
 
 
 @dataclass(frozen=True)

@@ -73,23 +73,31 @@ class SparseLU:
     exactly zero (Amestoy, Davis, Duff, SIAM J. Matrix Anal. Appl. 17,
     1996). That keeps the symmetric fill pattern and suits matrices whose
     diagonal blocks are SPD; callers order saddle-point systems that way.
+    With ordered=True SuperLU skips its own ordering and eliminates in
+    m's order (permc_spec "NATURAL"): callers that pass it have already
+    permuted m into a fill-reducing order, such as nested dissection.
 
-    Every solve is refined against m, whatever the pivoting, so a tiny
-    pivot either refines to the contract or raises RefinementError. By
-    default refinement stops on the normwise backward error
-    ||m x - r|| / (||m||_F ||x|| + ||r||) <= tol. With residual=True it
-    stops on the true relative residual ||m x - r|| <= tol * ||r||
+    Every solve is refined against m, whatever the ordering and pivoting,
+    so a tiny pivot either refines to the contract or raises
+    RefinementError. By default refinement stops on the normwise backward
+    error ||m x - r|| / (||m||_F ||x|| + ||r||) <= tol. With residual=True
+    it stops on the true relative residual ||m x - r|| <= tol * ||r||
     instead. name labels the matrix in SingularMatrixError and
     RefinementError messages.
     """
 
-    def __init__(self, m, name: str, tol: float, residual: bool = False, symmetric: bool = False):
+    def __init__(
+        self, m, name: str, tol: float, residual: bool = False, symmetric: bool = False, ordered: bool = False
+    ):
         self.name = name
         self._m = m
         self._tol = tol
         self._norm = 0.0 if residual else float(spla.norm(m))
+        options = dict(SYMMETRIC_MODE) if symmetric else {}
+        if ordered:
+            options["permc_spec"] = "NATURAL"
         try:
-            self._lu = spla.splu(m.tocsc(), **(SYMMETRIC_MODE if symmetric else {}))
+            self._lu = spla.splu(m.tocsc(), **options)
         except RuntimeError as exc:
             if "singular" not in str(exc):  # SuperLU: "Factor is exactly singular"
                 raise

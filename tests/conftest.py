@@ -13,3 +13,19 @@ def kkt_2x2():
 def kkt_4x4():
     """Small instance used for quadratic-form and cross-solver checks."""
     return make_instance(nx=4, ny=4, n_obs=6, alpha=1e-2)
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Every SuperLU factor made while the test runs, in order."""
+    import scipy.sparse.linalg as spla
+
+    made = []
+    splu = spla.splu
+
+    def capturing_splu(m, *args, **kwargs):
+        made.append(splu(m, *args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", capturing_splu)
+    return made

@@ -13,6 +13,7 @@ from kktprec import (
     lump_mass,
 )
 from kktprec.fem import (
+    _barycentric_rows,
     assemble_stiffness_neumann,
     p1_gradients,
     p1_mass_element,
@@ -260,6 +261,64 @@ def test_observation_rejects_outside_point():
     mesh = build_mesh(1.0, 1.0, 2, 2)
     with pytest.raises(PointLocationError):
         ObservationSet(points=np.array([[1.5, 0.5]]), lx=1.0, ly=1.0)
+
+
+def _barycentric_rows_loop(mesh, points):
+    """The per-point loop that _barycentric_rows replaced, kept as its oracle."""
+    nx, ny = mesh.nx, mesh.ny
+    rows, cols, vals = [], [], []
+    for k, (x, y) in enumerate(points):
+        if not (0.0 < x < mesh.lx and 0.0 < y < mesh.ly):
+            raise PointLocationError(f"point {k} at ({x}, {y}) outside the open domain")
+        cx = min(int(x / mesh.dx), nx - 1)
+        cy = min(int(y / mesh.dy), ny - 1)
+        xi = x / mesh.dx - cx
+        eta = y / mesh.dy - cy
+        v00 = cy * (nx + 1) + cx
+        v10 = v00 + 1
+        v01 = v00 + (nx + 1)
+        v11 = v01 + 1
+        if xi >= eta:
+            entries = ((v00, 1.0 - xi), (v10, xi - eta), (v11, eta))
+        else:
+            entries = ((v00, 1.0 - eta), (v11, xi), (v01, eta - xi))
+        for vtx, lam in entries:
+            if abs(lam) < 1e-14:
+                continue
+            rows.append(k)
+            cols.append(vtx)
+            vals.append(lam)
+    return rows, cols, vals
+
+
+def test_barycentric_rows_match_the_loop_bit_for_bit():
+    mesh = build_mesh(1.45, 1.0, 29, 20)
+    rng = np.random.default_rng(8)
+    random = np.column_stack([rng.uniform(0.0, 1.45, 300), rng.uniform(0.0, 1.0, 300)])
+    # points on the cell diagonals, on interior grid lines, and at interior vertices
+    t = rng.uniform(0.0, 1.0, 100)
+    cx, cy = rng.integers(0, 29, 100), rng.integers(0, 20, 100)
+    diagonal = np.column_stack([(cx + t) * mesh.dx, (cy + t) * mesh.dy])
+    vertical = np.column_stack([rng.integers(1, 29, 100) * mesh.dx, rng.uniform(0.01, 0.99, 100)])
+    horizontal = np.column_stack([rng.uniform(0.01, 1.44, 100), rng.integers(1, 20, 100) * mesh.dy])
+    interior = mesh.vertices[(mesh.vertices > 0.0).all(axis=1) & (mesh.vertices < [1.45, 1.0]).all(axis=1)]
+    points = np.concatenate([random, diagonal, vertical, horizontal, interior])
+    points = points[(points > 0.0).all(axis=1) & (points < [1.45, 1.0]).all(axis=1)]
+    got = _barycentric_rows(mesh, points)
+    want = _barycentric_rows_loop(mesh, points)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, np.asarray(w, dtype=g.dtype))
+    assert got[2].dtype == np.float64
+    assert got[0].size < 3 * points.shape[0]  # entries on edges and at vertices were dropped
+
+
+def test_barycentric_rows_name_the_first_outside_point():
+    mesh = build_mesh(1.0, 1.0, 2, 2)
+    points = np.array([[0.5, 0.5], [0.25, 1.0], [1.5, 0.5]])
+    with pytest.raises(PointLocationError, match=r"^point 1 at \(0.25, 1.0\) outside the open domain$"):
+        _barycentric_rows(mesh, points)
+    with pytest.raises(PointLocationError, match=r"^point 0 at \(nan, 0.5\)"):
+        _barycentric_rows(mesh, np.array([[np.nan, 0.5]]))
 
 
 # --- image interpolation -----------------------------------------------------

@@ -37,22 +37,6 @@ from kktprec.kkt import (
 from kktprec.sparse import SingularMatrixError, SparseLU
 
 
-@pytest.fixture
-def factors(monkeypatch):
-    """Every SuperLU factor made while the test runs, in order."""
-    import scipy.sparse.linalg as spla
-
-    made = []
-    splu = spla.splu
-
-    def capturing_splu(m, *args, **kwargs):
-        made.append(splu(m, *args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(spla, "splu", capturing_splu)
-    return made
-
-
 def test_zero_data_zero_solution(kkt_2x2):
     sys = build_kkt(kkt_2x2.ops, alpha=1e-2, y=np.zeros(3))
     assert np.all(sys.rhs == 0.0)
@@ -311,6 +295,15 @@ def test_reference_factor_is_matched_pair_sized(factors):
     reference_solution(sys)
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz <= 1.0e6
+
+
+def test_reference_factor_is_nested_dissection_sized(factors):
+    # minimum degree on the same matched-pair matrix stores 5,157,560 entries
+    sys = make_instance(nx=116, ny=80, n_obs=500, alpha=1e-6)
+    factors.clear()
+    reference_solution(sys)
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz <= 4.5e6
 
 
 @pytest.mark.parametrize("alpha", [1e-2, 1e-6])

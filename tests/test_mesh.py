@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprec import ObservationSet, build_mesh
-from kktprec.mesh import MeshParameterError, PointLocationError
+from kktprec import ObservationSet, assemble_mass, assemble_stiffness_nitsche, build_mesh
+from kktprec.mesh import (
+    DISSECTION_LEAF,
+    MeshParameterError,
+    PointLocationError,
+    bisect,
+    nested_dissection_order,
+)
 
 
 def triangle_areas(mesh):
@@ -94,3 +100,37 @@ def test_mesh_invariants(nx, ny, lx, ly):
     assert np.all(areas > 0)
     assert np.allclose(areas, lx / nx * (ly / ny) / 2.0, rtol=1e-12)
     assert np.isclose(areas.sum(), lx * ly, rtol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nx=st.integers(1, 40), ny=st.integers(1, 40))
+def test_nested_dissection_separates_every_bisection(nx, ny):
+    order = nested_dissection_order(nx, ny)
+    n = (nx + 1) * (ny + 1)
+    assert order.dtype.kind == "i"
+    assert np.array_equal(np.sort(order), np.arange(n))
+    mesh = build_mesh(1.45, 1.0, nx, ny)
+    # the stiffness pattern, and the mass pattern, which adds the diagonal
+    # edges whose stiffness entries vanish on this mesh
+    pattern = (abs(assemble_stiffness_nitsche(mesh)) + assemble_mass(mesh)).tocsr()
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+
+    def vertices(xs, ys):
+        return (np.arange(ys.start, ys.stop)[:, None] * (nx + 1) + np.arange(xs.start, xs.stop)).ravel()
+
+    def check(xs, ys, start):
+        box = vertices(xs, ys)
+        # each box is one contiguous run of the order
+        assert np.array_equal(np.sort(position[box]), np.arange(start, start + box.size))
+        if box.size <= DISSECTION_LEAF:
+            return
+        first, second, separator = bisect(xs, ys)
+        a, b, sep = vertices(*first), vertices(*second), vertices(*separator)
+        assert a.size + b.size + sep.size == box.size
+        assert pattern[a][:, b].nnz == 0
+        assert np.all(position[sep] >= start + a.size + b.size)  # the separator comes last
+        check(*first, start)
+        check(*second, start + a.size)
+
+    check(range(nx + 1), range(ny + 1), 0)

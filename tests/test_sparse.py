@@ -112,6 +112,19 @@ def test_sparse_lu_solves_and_refines():
         assert np.all(SparseLU(m, "test", 1e-12, symmetric=symmetric)(np.zeros(12)) == 0.0)
 
 
+def test_sparse_lu_ordered_keeps_the_given_order(factors):
+    rng = np.random.default_rng(34)
+    dense = np.diag(np.full(10, 4.0)) + np.diag(np.full(9, -1.0), 1) + np.diag(np.full(9, -1.0), -1)
+    dense[0, 9] = dense[9, 0] = -1.0
+    b = rng.standard_normal(10)
+    for symmetric in (False, True):
+        x = SparseLU(sp.csr_matrix(dense), "test", 1e-12, symmetric=symmetric, ordered=True)(b)
+        norm = np.linalg.norm
+        assert norm(dense @ x - b) <= 1e-12 * (norm(dense) * norm(x) + norm(b))
+        assert np.array_equal(factors[-1].perm_c, np.arange(10))
+    assert np.array_equal(factors[-1].perm_r, np.arange(10))  # diagonal pivots
+
+
 def test_sparse_lu_singular_names_matrix():
     m = sp.diags([1.0, 0.0, 2.0], format="csr")
     for symmetric in (False, True):
