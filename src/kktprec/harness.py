@@ -279,6 +279,33 @@ def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> list[R
     return records
 
 
+def _mesh_rung(cfg: ExperimentConfig, nx: int, ny: int, obs_path: str) -> tuple[list[RunRecord], list[dict]]:
+    """Every configured solver on one mesh of the study. The rung's
+    operators, system and reference die with this call, before the next
+    rung assembles its own."""
+    alpha, n_obs = cfg.alpha[0], cfg.n_obs[0]
+    ops, y = _assemble_data(cfg, nx, ny, obs_path)
+    sys = build_kkt(ops, alpha, y)
+    q_ref = reference_solution(sys)[: sys.n]
+    records, summary = [], []
+    for kind in cfg.preconditioners:
+        run_id = _run_id(kind, nx, ny, alpha, n_obs)
+        rec = solve_one(cfg, sys, kind, q_ref, run_id)
+        records.append(rec)
+        summary.append(
+            {
+                "run-id": run_id,
+                "nx": nx,
+                "ny": ny,
+                "h": ops.mesh.h,
+                "n-vertices": ops.mesh.n_vertices,
+                "iters-to-target": rec.iterations_to_target,
+                "converged": rec.converged,
+            }
+        )
+    return records, summary
+
+
 def run_mesh_study(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
     """Iterations-to-target across a mesh sequence at fixed alpha and a
     shared observation file. Writes mesh-study.csv (summary) and the
@@ -287,30 +314,14 @@ def run_mesh_study(cfg: ExperimentConfig, out_dir: str | None = None) -> list[di
     os.makedirs(out, exist_ok=True)
     if len(cfg.nx) < 2:
         raise ValueError("mesh study wants at least two meshes in nx/ny")
-    alpha, n_obs = cfg.alpha[0], cfg.n_obs[0]
-    obs_path = _obs_source(cfg, n_obs, out)
+    obs_path = _obs_source(cfg, cfg.n_obs[0], out)
 
     records = []
     summary = []
     for nx, ny in zip(cfg.nx, cfg.ny):
-        ops, y = _assemble_data(cfg, nx, ny, obs_path)
-        sys = build_kkt(ops, alpha, y)
-        q_ref = reference_solution(sys)[: sys.n]
-        for kind in cfg.preconditioners:
-            run_id = _run_id(kind, nx, ny, alpha, n_obs)
-            rec = solve_one(cfg, sys, kind, q_ref, run_id)
-            records.append(rec)
-            summary.append(
-                {
-                    "run-id": run_id,
-                    "nx": nx,
-                    "ny": ny,
-                    "h": ops.mesh.h,
-                    "n-vertices": ops.mesh.n_vertices,
-                    "iters-to-target": rec.iterations_to_target,
-                    "converged": rec.converged,
-                }
-            )
+        rung_records, rung_summary = _mesh_rung(cfg, nx, ny, obs_path)
+        records += rung_records
+        summary += rung_summary
     lines = ["run-id,nx,ny,h,n-vertices,iters-to-target,converged"]
     for row in summary:
         iters = "" if row["iters-to-target"] is None else str(row["iters-to-target"])
@@ -321,6 +332,16 @@ def run_mesh_study(cfg: ExperimentConfig, out_dir: str | None = None) -> list[di
     atomic_write_text(os.path.join(out, "mesh-study.csv"), "\n".join(lines) + "\n")
     write_run_csv(os.path.join(out, "mesh-study-iterations.csv"), records)
     return summary
+
+
+def _sweep_cell(cfg: ExperimentConfig, ops: ProblemOperators, y: np.ndarray, kind: str, alpha: float) -> int:
+    """Iterations to target of one sweep instance, -1 if it was not
+    reached. The instance's system and reference die with this call."""
+    nx, ny, n_obs = ops.mesh.nx, ops.mesh.ny, y.size
+    sys = build_kkt(ops, alpha, y)
+    q_ref = reference_solution(sys)[: sys.n]
+    rec = solve_one(cfg, sys, kind, q_ref, _run_id(kind, nx, ny, alpha, n_obs))
+    return -1 if rec.iterations_to_target is None else rec.iterations_to_target
 
 
 def run_reg_data_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> np.ndarray:
@@ -336,13 +357,8 @@ def run_reg_data_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> np.
     for j, n_obs in enumerate(cfg.n_obs):
         ops, y = _assemble_data(cfg, nx, ny, _obs_source(cfg, n_obs, out))
         for i, alpha in enumerate(cfg.alpha):
-            sys = build_kkt(ops, alpha, y)
-            q_ref = reference_solution(sys)[: sys.n]
-            rec = solve_one(
-                cfg, sys, kind, q_ref, _run_id(kind, nx, ny, alpha, n_obs)
-            )
-            if rec.iterations_to_target is not None:
-                matrix[i, j] = rec.iterations_to_target
+            matrix[i, j] = _sweep_cell(cfg, ops, y, kind, alpha)
+        del ops, y  # freed before the next observation count assembles its own
 
     lines = ["alpha," + ",".join(str(n) for n in cfg.n_obs)]
     for i, alpha in enumerate(cfg.alpha):
@@ -390,6 +406,7 @@ def run_theory_verification(
         mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
         for n_obs in cfg.n_obs:
             ops = _assemble_operators(cfg, mesh, _obs_source(cfg, n_obs, out))
+            ops.btb  # formed here, once: the pickled operators carry it to every alpha's job
             jobs += [(ops, nx, ny, n_obs, alpha, cfg.rho_for(alpha)) for alpha in cfg.alpha]
     rows = map_in_order(_theory_row, jobs)
     measured = [f.name.replace("_", "-") for f in fields(ConditionReport)]

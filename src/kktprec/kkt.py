@@ -55,6 +55,14 @@ lumped block 2 couples vertices two apart, which one-line separators do
 not split, and the coarsest multigrid levels are too small to gain. The
 LUs of A and R*R keep COLAMD: they drive the reduced-Hessian CG, whose
 iteration counts follow the rounding of its operator.
+
+Each matrix SuperLU factors exists once while it is factored. Both
+permuted systems go from their blocks' entries straight into CSC, the
+form SuperLU factors and refinement multiplies by, so neither K nor a
+permuted CSR copy exists beside them; the reference never assembles K,
+which MINRES builds on its first apply. Every other factored matrix is
+exactly symmetric CSR, which SuperLU takes as the CSC view m.T of m's
+own arrays (SparseLU).
 """
 
 from __future__ import annotations
@@ -191,14 +199,15 @@ class KktSystem:
     def dim(self) -> int:
         return 3 * self.n
 
+    def blocks(self) -> list[list[sp.csr_matrix | None]]:
+        """K's 3 x 3 blocks, None for a zero block."""
+        w, a = self.mass, self.forward
+        return [[self.alpha * self.reg, None, -w], [None, self.btb, a], [-w, a, None]]
+
     @cached_property
     def matrix(self) -> sp.csr_matrix:
         """The 3n x 3n KKT matrix, assembled from its blocks on first use."""
-        w, a = self.mass, self.forward
-        return sp.bmat(
-            [[self.alpha * self.reg, None, -w], [None, self.btb, a], [-w, a, None]],
-            format="csr",
-        )
+        return sp.bmat(self.blocks(), format="csr")
 
 
 def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
@@ -236,6 +245,27 @@ def kkt_operator(sys: KktSystem) -> Operator:
     return lambda z: apply_kkt(sys, z)
 
 
+def _permuted_csc(blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
+    """sp.bmat(blocks)[rows][:, cols] in CSC, array for array, for square
+    CSR blocks of one size (None for a zero block). Each block's entries
+    go straight to their places through the inverse row and column maps,
+    so neither the block matrix nor a permuted CSR copy is formed."""
+    n = rows.size // len(blocks)
+    place_row, place_col = np.empty(rows.size, dtype=np.intc), np.empty(cols.size, dtype=np.intc)
+    place_row[rows] = np.arange(rows.size, dtype=np.intc)
+    place_col[cols] = np.arange(cols.size, dtype=np.intc)
+    parts = [
+        (place_row[i * n : (i + 1) * n], place_col[j * n : (j + 1) * n], b)
+        for i, block_row in enumerate(blocks)
+        for j, b in enumerate(block_row)
+        if b is not None
+    ]
+    r = np.concatenate([np.repeat(to_row, np.diff(b.indptr)) for to_row, _, b in parts])
+    c = np.concatenate([to_col[b.indices] for _, to_col, b in parts])
+    data = np.concatenate([b.data for _, _, b in parts])
+    return sp.csc_matrix((data, (r, c)), shape=(rows.size, cols.size))
+
+
 def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
     """Sparse direct solve of the full KKT system, refined to normwise
     backward error <= tol, which for a reasonably conditioned K implies
@@ -246,9 +276,12 @@ def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
     v_k, with v the nested-dissection order of the mesh's vertices. Each
     vertex's diagonal blocks come from A, A and alpha*R*R, which are SPD,
     so SuperLU's symmetric mode pivots on them, and it factors in that
-    order. Permuting rows and columns keeps the Frobenius norm and the
-    residual norm, so refining against the permuted matrix is refining
-    against K.
+    order. The permuted matrix is built from K's blocks straight into CSC
+    and is the only copy of K while SuperLU factors it: neither K
+    (sys.matrix, left for MINRES to assemble) nor a permuted CSR matrix
+    exists. Refinement multiplies by that CSC matrix. Permuting rows and
+    columns keeps the Frobenius norm and the residual norm, so refining
+    against the permuted matrix is refining against K.
     """
     if float(np.linalg.norm(sys.rhs)) == 0.0:
         return np.zeros(sys.dim)
@@ -256,7 +289,7 @@ def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
     vertex = nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)[:, None]
     rows = (vertex + [2 * n, n, 0]).ravel()
     cols = (vertex + [n, 2 * n, 0]).ravel()
-    matched = sys.matrix[rows][:, cols]
+    matched = _permuted_csc(sys.blocks(), rows, cols)
     z = np.empty(sys.dim)
     z[cols] = SparseLU(matched, "KKT", tol, symmetric=True, ordered=True)(sys.rhs[rows])
     return z
@@ -294,6 +327,12 @@ def build_preconditioner(
     (multigrid.Cycle): a V-cycle for block 1 and a W-cycle for block 2,
     which reduce to the coarse LU on meshes that cannot be halved.
 
+    No factored matrix has a second copy while SuperLU runs: the augmented
+    system is built straight into CSC (as in reference_solution), and
+    every other factored matrix, each block, the mass matrix and each
+    coarsest multigrid level, is exactly symmetric CSR, which SparseLU
+    factors through its transpose view.
+
     inner_tol is read by no kind. It is still accepted, and checked to lie
     in (0, 1), because the benchmark's traced replica passes it.
     """
@@ -320,13 +359,11 @@ def build_preconditioner(
         @cache
         def factors() -> tuple[SparseLU, SparseLU, SparseLU]:
             block1 = sys.alpha * sys.reg + rho * sys.mass
-            augmented = sp.bmat([[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]], format="csr")
+            augmented = _permuted_csc([[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]], pairs, pairs)
             return (
                 SparseLU(block1, "block 1", EXACT_SOLVE_TOL, symmetric=True),
                 SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL, symmetric=True),
-                SparseLU(
-                    augmented[pairs][:, pairs], "block 2", EXACT_SOLVE_TOL, symmetric=True, ordered=True
-                ),
+                SparseLU(augmented, "block 2", EXACT_SOLVE_TOL, symmetric=True, ordered=True),
             )
 
         def solve2(r: np.ndarray) -> np.ndarray:

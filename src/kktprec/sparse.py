@@ -63,6 +63,18 @@ def refine(
 SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
+def _csc(m):
+    """m in CSC: m itself if it is CSC, the view m.T if m is CSR and exactly
+    symmetric (same pattern, same values), otherwise a copy."""
+    if m.format == "csc":
+        return m
+    csc = m.tocsc()
+    same = m.format == "csr" and all(
+        np.array_equal(getattr(csc, k), getattr(m, k)) for k in ("indptr", "indices", "data")
+    )
+    return m.T if same else csc
+
+
 class SparseLU:
     """Cached sparse LU factorization (SuperLU) of a square scipy sparse
     matrix; calling it solves m x = r.
@@ -77,6 +89,14 @@ class SparseLU:
     m's order (permc_spec "NATURAL"): callers that pass it have already
     permuted m into a fill-reducing order, such as nested dissection.
 
+    SuperLU takes CSC. A CSC m is factored as it is. A CSR m that is
+    exactly symmetric, checked entry for entry against a CSC copy that is
+    dropped before SuperLU starts, is factored through m.T, a CSC view of
+    m's own arrays that equals m; any other m through that copy. So m,
+    kept in its own format as ``matrix`` for refinement, is the only copy
+    of itself while SuperLU runs, unless it is a nonsymmetric CSR matrix.
+    symmetric=True selects the pivoting; it does not say m is symmetric.
+
     Every solve is refined against m, whatever the ordering and pivoting,
     so a tiny pivot either refines to the contract or raises
     RefinementError. By default refinement stops on the normwise backward
@@ -90,14 +110,14 @@ class SparseLU:
         self, m, name: str, tol: float, residual: bool = False, symmetric: bool = False, ordered: bool = False
     ):
         self.name = name
-        self._m = m
+        self.matrix = m
         self._tol = tol
         self._norm = 0.0 if residual else float(spla.norm(m))
         options = dict(SYMMETRIC_MODE) if symmetric else {}
         if ordered:
             options["permc_spec"] = "NATURAL"
         try:
-            self._lu = spla.splu(m.tocsc(), **options)
+            self._lu = spla.splu(_csc(m), **options)
         except RuntimeError as exc:
             if "singular" not in str(exc):  # SuperLU: "Factor is exactly singular"
                 raise
@@ -106,6 +126,6 @@ class SparseLU:
     def __call__(self, r: np.ndarray) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)
         try:
-            return refine(self._m.dot, self._lu.solve, self._lu.solve(r), r, self._tol, self._norm)
+            return refine(self.matrix.dot, self._lu.solve, self._lu.solve(r), r, self._tol, self._norm)
         except RefinementError as exc:
             raise RefinementError(f"{self.name} solve: {exc}") from exc

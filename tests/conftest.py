@@ -1,6 +1,6 @@
 import pytest
 
-from helpers import make_instance
+from helpers import make_instance, record_factors
 
 
 @pytest.fixture(scope="session")
@@ -17,15 +17,6 @@ def kkt_4x4():
 
 @pytest.fixture
 def factors(monkeypatch):
-    """Every SuperLU factor made while the test runs, in order."""
-    import scipy.sparse.linalg as spla
-
-    made = []
-    splu = spla.splu
-
-    def capturing_splu(m, *args, **kwargs):
-        made.append(splu(m, *args, **kwargs))
-        return made[-1]
-
-    monkeypatch.setattr(spla, "splu", capturing_splu)
-    return made
+    """Every SuperLU factor made while the test runs, in order, with the
+    matrix each was made from in factors.inputs."""
+    return record_factors(monkeypatch)

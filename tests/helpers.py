@@ -20,6 +20,36 @@ from kktprec import (
 MASK64 = (1 << 64) - 1
 
 
+class Factors(list):
+    """SuperLU factors in the order they were made; inputs[k] is the
+    matrix that factors[k] was made from."""
+
+    def __init__(self):
+        super().__init__()
+        self.inputs = []
+
+    def clear(self):
+        super().clear()
+        self.inputs.clear()
+
+
+def record_factors(monkeypatch):
+    """Route every SuperLU factorization through a recorder; returns the
+    Factors that fills as they are made."""
+    import scipy.sparse.linalg as spla
+
+    made = Factors()
+    splu = spla.splu
+
+    def recording_splu(m, *args, **kwargs):
+        made.append(splu(m, *args, **kwargs))
+        made.inputs.append(m)
+        return made[-1]
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    return made
+
+
 def splitmix64_reference(seed, count):
     """Reference SplitMix64 stream, written out step by step."""
     out = []

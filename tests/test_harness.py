@@ -3,12 +3,13 @@ four run_* entry points with their CSV/PGM outputs."""
 
 import concurrent.futures
 import os
+import pickle
 
 import numpy as np
 import pytest
 
 from helpers import splitmix64_reference
-from kktprec import harness, parallel
+from kktprec import harness, kkt, parallel
 from kktprec.cli import EXIT_ERROR, EXIT_THEORY_VIOLATION, main
 from kktprec.config import ExperimentConfig
 from kktprec.formats import read_pgm, write_observations
@@ -482,6 +483,28 @@ def test_theory_assembles_once_per_mesh_and_obs_count(tmp_path, monkeypatch):
     rows, _ = run_theory_verification(cfg)
     assert len(rows) == 12
     assert len(calls) == 4  # 2 meshes x 2 n_obs; alpha does not reassemble
+
+
+def test_theory_forms_btb_once_per_mesh_and_obs_count(tmp_path, monkeypatch):
+    calls = []
+    triple = kkt._triple_product
+
+    def counting(a, d):
+        calls.append(a)
+        return triple(a, d)
+
+    def pickled_in_order(fn, jobs):
+        # each job reaches its worker pickled, as in a pool
+        return [fn(pickle.loads(pickle.dumps(job))) for job in jobs]
+
+    monkeypatch.setattr(kkt, "_triple_product", counting)
+    monkeypatch.setattr(harness, "map_in_order", pickled_in_order)
+    cfg = ExperimentConfig(
+        nx=(10,), ny=(7,), alpha=(1e-2, 1e-4, 1e-6), n_obs=(50,), seed=1, out_dir=str(tmp_path)
+    )
+    rows, _ = run_theory_verification(cfg)
+    assert len(rows) == 3
+    assert len(calls) == 1  # B^T B, formed here before the three jobs are sent
 
 
 def test_sweep_assembles_once_per_obs_count(tmp_path, monkeypatch):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from helpers import make_instance, probe_columns
+from helpers import make_instance, probe_columns, record_factors
 from kktprec import (
     BDAL_EXACT,
     BDAL_LUMPED_EXACT,
@@ -30,10 +32,12 @@ from kktprec.config import ExperimentConfig
 from kktprec.formats import write_observations
 from kktprec.harness import run_mesh_study
 from kktprec.kkt import (
+    BDAL_KINDS,
     DimensionMismatchError,
     UnknownPreconditionerError,
     regularization_prec_operator,
 )
+from kktprec.mesh import nested_dissection_order
 from kktprec.sparse import SingularMatrixError, SparseLU
 
 
@@ -317,6 +321,60 @@ def test_reference_solution_matches_colamd_lu(shape, alpha):
     assert np.linalg.norm(q - q_colamd) <= 1e-9 * np.linalg.norm(q_colamd)
 
 
+def test_each_factored_matrix_exists_once(factors, monkeypatch):
+    lus = []
+    init = SparseLU.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        lus.append(self)
+
+    monkeypatch.setattr(SparseLU, "__init__", recording_init)
+    sys = make_instance(nx=29, ny=20, n_obs=200, alpha=1e-6)
+    for kind in BDAL_KINDS:
+        build_preconditioner(sys, kind).apply_inverse(np.ones(sys.dim))
+    h = reduced_hessian(sys)
+    h.apply(regularization_prec_operator(h)(np.ones(sys.n)))
+    reference_solution(sys)
+    assert "matrix" not in vars(sys)  # K is left for MINRES to assemble
+    # A; bdal-exact's block 1, mass and P2 system; two lumped blocks; two
+    # coarse levels (29x20 cannot be halved); R*R; the reference
+    assert len(lus) == len(factors.inputs) == 10
+    for lu, m in zip(lus, factors.inputs):
+        assert np.shares_memory(lu.matrix.data, m.data), lu.name
+
+
+def _same_arrays(a, b):
+    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("data", "indices", "indptr"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nx=st.integers(2, 12), ny=st.integers(2, 9), log_alpha=st.floats(-8.0, 0.0))
+def test_permuted_systems_are_built_straight_into_csc(nx, ny, log_alpha):
+    with pytest.MonkeyPatch.context() as mp:
+        made = record_factors(mp)
+        sys = make_instance(nx=nx, ny=ny, n_obs=10, alpha=10.0**log_alpha)
+        reference_solution(sys)
+        for kind in BDAL_KINDS:
+            p = build_preconditioner(sys, kind)
+            p.apply_inverse(np.ones(sys.dim))
+        reduced_hessian(sys).reg_solver
+    n = sys.n
+    order = nested_dissection_order(nx, ny)[:, None]
+    rows, cols = (order + [2 * n, n, 0]).ravel(), (order + [n, 2 * n, 0]).ravel()
+    pairs = (order + [0, n]).ravel()
+    rho = float(np.sqrt(sys.alpha))
+    augmented = sp.bmat([[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]], format="csr")
+    expected = {3 * n: sys.matrix[rows][:, cols].tocsc(), 2 * n: augmented[pairs][:, pairs].tocsc()}
+    for size, want in expected.items():
+        (got,) = [m for m in made.inputs if m.shape[0] == size]
+        assert got.format == "csc" and _same_arrays(got, want)
+    views = [m for m in made.inputs if m.shape[0] <= n]
+    assert len(views) == len(made.inputs) - 2
+    for m in views:
+        assert m.format == "csc" and (m != m.T).nnz == 0
+
+
 def test_reference_solution_backward_error_small_alpha():
     sys = make_instance(nx=20, ny=14, n_obs=200, alpha=1e-8)
     z = reference_solution(sys)
@@ -396,8 +454,6 @@ def test_bdal_exact_mesh_study_counts(tmp_path):
     assert counts == [47, 45, 44, 44]
 
 
-def _same_csr(a, b):
-    return all(np.array_equal(getattr(a, k), getattr(b, k)) for k in ("data", "indices", "indptr"))
 
 
 def test_alpha_independent_products_formed_once(kkt_2x2, monkeypatch):
@@ -418,8 +474,8 @@ def test_alpha_independent_products_formed_once(kkt_2x2, monkeypatch):
     assert len(calls) == 2
     assert calls[0] is ops.observation and calls[1] is ops.forward
     n_obs = ops.observation.shape[0]
-    assert _same_csr(ops.btb, triple(ops.observation, np.ones(n_obs)))
-    assert _same_csr(ops.at_lumped_inv_a, triple(ops.forward, 1.0 / ops.mass_lumped))
+    assert _same_arrays(ops.btb, triple(ops.observation, np.ones(n_obs)))
+    assert _same_arrays(ops.at_lumped_inv_a, triple(ops.forward, 1.0 / ops.mass_lumped))
 
 
 def test_reduced_hessian_factors_forward_once(kkt_2x2, factors):
