@@ -2,8 +2,8 @@
 
 Subcommands: convergence, mesh-study, sweep, verify-theory, gen-obs,
 synth-source. Exit codes: 0 on success, 2 when a provable spectral bound
-fails verification, 1 on configuration or solver errors. Every subcommand
-runs with OpenBLAS at one thread (parallel.single_threaded_blas).
+fails verification, 1 on configuration or solver errors. Importing the
+package before numpy loads OpenBLAS with one thread (see parallel).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from . import harness
 from .config import ConfigError, ExperimentConfig, load_config
 from .formats import write_field_pgm, write_observations
 from .mesh import build_mesh
-from .parallel import single_threaded_blas
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -70,55 +69,54 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR
 
     try:
-        with single_threaded_blas():
-            if args.command == "convergence":
-                records = harness.run_convergence(cfg)
-                for rec in records:
-                    iters = rec.iterations_to_target
-                    reached = f"target at iteration {iters}" if iters is not None else "target not reached"
-                    print(f"{rec.run_id}: {reached}")
-            elif args.command == "mesh-study":
-                for row in harness.run_mesh_study(cfg):
-                    print(
-                        f"{row['run-id']}: iters-to-target="
-                        f"{row['iters-to-target'] if row['iters-to-target'] is not None else 'none'}"
-                    )
-            elif args.command == "sweep":
-                matrix = harness.run_reg_data_sweep(cfg)
-                print(f"sweep matrix ({len(cfg.alpha)} alphas x {len(cfg.n_obs)} sizes):")
-                print(matrix)
-            elif args.command == "verify-theory":
-                rows, all_ok = harness.run_theory_verification(cfg)
-                for row in rows:
-                    rep = row["report"]
-                    status = "ok" if row["pass"] else "VIOLATION"
-                    print(
-                        f"{row['run-id']}: {status} cond(E)={rep.cond_e:.6g} "
-                        f"bound={rep.bound_cond:.6g}"
-                    )
-                if not all_ok:
-                    return EXIT_THEORY_VIOLATION
-            elif args.command == "gen-obs":
-                os.makedirs(cfg.out_dir, exist_ok=True)
-                obs = harness.generate_observations(cfg.seed, cfg.n_obs[0], cfg.lx, cfg.ly)
-                path = os.path.join(cfg.out_dir, f"observations-n{cfg.n_obs[0]}.txt")
-                write_observations(path, obs)
-                print(path)
-            elif args.command == "synth-source":
-                os.makedirs(cfg.out_dir, exist_ok=True)
-                mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
-                field = harness.synth_source(mesh)
-                path = os.path.join(cfg.out_dir, f"source-nx{cfg.nx[0]}-ny{cfg.ny[0]}.pgm")
-                write_field_pgm(
-                    path,
-                    mesh,
-                    field.values,
-                    comments=(
-                        "synthetic source, vertex grid raster, min->0 max->255",
-                        harness.SYNTH_SOURCE_FORMULA,
-                    ),
+        if args.command == "convergence":
+            records = harness.run_convergence(cfg)
+            for rec in records:
+                iters = rec.iterations_to_target
+                reached = f"target at iteration {iters}" if iters is not None else "target not reached"
+                print(f"{rec.run_id}: {reached}")
+        elif args.command == "mesh-study":
+            for row in harness.run_mesh_study(cfg):
+                print(
+                    f"{row['run-id']}: iters-to-target="
+                    f"{row['iters-to-target'] if row['iters-to-target'] is not None else 'none'}"
                 )
-                print(path)
+        elif args.command == "sweep":
+            matrix = harness.run_reg_data_sweep(cfg)
+            print(f"sweep matrix ({len(cfg.alpha)} alphas x {len(cfg.n_obs)} sizes):")
+            print(matrix)
+        elif args.command == "verify-theory":
+            rows, all_ok = harness.run_theory_verification(cfg)
+            for row in rows:
+                rep = row["report"]
+                status = "ok" if row["pass"] else "VIOLATION"
+                print(
+                    f"{row['run-id']}: {status} cond(E)={rep.cond_e:.6g} "
+                    f"bound={rep.bound_cond:.6g}"
+                )
+            if not all_ok:
+                return EXIT_THEORY_VIOLATION
+        elif args.command == "gen-obs":
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            obs = harness.generate_observations(cfg.seed, cfg.n_obs[0], cfg.lx, cfg.ly)
+            path = os.path.join(cfg.out_dir, f"observations-n{cfg.n_obs[0]}.txt")
+            write_observations(path, obs)
+            print(path)
+        elif args.command == "synth-source":
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
+            field = harness.synth_source(mesh)
+            path = os.path.join(cfg.out_dir, f"source-nx{cfg.nx[0]}-ny{cfg.ny[0]}.pgm")
+            write_field_pgm(
+                path,
+                mesh,
+                field.values,
+                comments=(
+                    "synthetic source, vertex grid raster, min->0 max->255",
+                    harness.SYNTH_SOURCE_FORMULA,
+                ),
+            )
+            print(path)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR

@@ -397,7 +397,8 @@ def run_theory_verification(
     Returns (rows, all_ok). Rows carry the measured constants, extrema, and
     bounds; a failed instance is recorded and the sweep continues. Operators
     are assembled here once per (mesh, n_obs); the instances are verified
-    by parallel.map_in_order, on every available core where it can.
+    by parallel.map_in_order, in one forked worker per core when OpenBLAS
+    loaded with one thread, otherwise serially.
     """
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)

@@ -180,16 +180,33 @@ def assemble_problem(
 
 @dataclass(frozen=True)
 class KktSystem:
-    """One assembled KKT system; blocks are stored unscaled, alpha separately."""
+    """One assembled KKT system: the unscaled blocks are the operators'
+    matrices, alpha is kept separately."""
 
-    reg: sp.csr_matrix  # R*R (the (1,1) block is alpha * reg)
-    btb: sp.csr_matrix  # Bt B
-    forward: sp.csr_matrix  # A
-    mass: sp.csr_matrix  # W
     alpha: float
     y: np.ndarray  # observed data
     rhs: np.ndarray
     ops: ProblemOperators
+
+    @property
+    def reg(self) -> sp.csr_matrix:
+        """R*R (the (1,1) block is alpha * reg)."""
+        return self.ops.reg
+
+    @property
+    def btb(self) -> sp.csr_matrix:
+        """B^T B."""
+        return self.ops.btb
+
+    @property
+    def forward(self) -> sp.csr_matrix:
+        """A."""
+        return self.ops.forward
+
+    @property
+    def mass(self) -> sp.csr_matrix:
+        """W."""
+        return self.ops.mass
 
     @property
     def n(self) -> int:
@@ -206,8 +223,11 @@ class KktSystem:
 
     @cached_property
     def matrix(self) -> sp.csr_matrix:
-        """The 3n x 3n KKT matrix, assembled from its blocks on first use."""
-        return sp.bmat(self.blocks(), format="csr")
+        """The 3n x 3n KKT matrix in CSR, assembled from its blocks on first
+        use. K is exactly symmetric, so the transpose view of its CSC form
+        is its CSR form."""
+        idx = np.arange(self.dim)
+        return _permuted_csc(self.blocks(), idx, idx).T
 
 
 def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
@@ -221,16 +241,7 @@ def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
     n = ops.n
     rhs = np.zeros(3 * n)
     rhs[n : 2 * n] = ops.observation.T @ y
-    return KktSystem(
-        reg=ops.reg,
-        btb=ops.btb,
-        forward=ops.forward,
-        mass=ops.mass,
-        alpha=alpha,
-        y=y,
-        rhs=rhs,
-        ops=ops,
-    )
+    return KktSystem(alpha=alpha, y=y, rhs=rhs, ops=ops)
 
 
 def apply_kkt(sys: KktSystem, z: np.ndarray) -> np.ndarray:

@@ -29,9 +29,6 @@ class AssumptionViolationError(ValueError):
         super().__init__(message)
         self.mode = mode
 
-    def __reduce__(self):
-        return type(self), (*self.args, self.mode)
-
 
 @dataclass(frozen=True)
 class SpectralFilterModel:

@@ -4,9 +4,8 @@ import os
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
-from kktprec import harness, parallel
+from kktprec import harness
 from kktprec.cli import EXIT_ERROR, EXIT_OK, EXIT_THEORY_VIOLATION, main
 from kktprec.formats import read_observations, read_pgm
 
@@ -194,21 +193,3 @@ def test_seed_flag_overrides_config_file(tmp_path):
     assert not np.array_equal(a, b)
     ref = harness.generate_observations(2, 6, 1.45, 1.0).points
     assert np.array_equal(b, ref)
-
-
-def test_subcommands_run_with_one_blas_thread(tmp_path, monkeypatch):
-    controls = parallel._openblas_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS thread control in this process")
-    before = [get_threads() for _, get_threads in controls]
-    seen = []
-    real = harness.generate_observations
-
-    def recording(*args):
-        seen.extend(get_threads() for _, get_threads in controls)
-        return real(*args)
-
-    monkeypatch.setattr(harness, "generate_observations", recording)
-    assert main(["gen-obs", "--out", str(tmp_path)]) == EXIT_OK
-    assert seen == [1] * len(controls)
-    assert [get_threads() for _, get_threads in controls] == before

@@ -407,8 +407,10 @@ def _no_pool(*args, **kwargs):
 
 
 def test_theory_pooled_and_serial_agree(tmp_path, monkeypatch):
+    # Under pytest numpy loads before the package, so the pool is turned on here.
+    monkeypatch.setattr(parallel, "_ONE_BLAS_THREAD", True)
     pooled, pooled_ok = run_theory_verification(_theory_grid(tmp_path / "pooled"))
-    # One available core: same cap, same job function, run in this process.
+    # One available core: same job function, run in this process.
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     serial, serial_ok = run_theory_verification(_theory_grid(tmp_path / "serial"))
@@ -419,8 +421,9 @@ def test_theory_pooled_and_serial_agree(tmp_path, monkeypatch):
 
 
 def test_theory_without_blas_cap_runs_serially(tmp_path, monkeypatch):
+    monkeypatch.setattr(parallel, "_ONE_BLAS_THREAD", True)
     capped, _ = run_theory_verification(_theory_grid(tmp_path / "capped"))
-    monkeypatch.setattr(parallel, "_openblas_controls", lambda: [])
+    monkeypatch.setattr(parallel, "_ONE_BLAS_THREAD", False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
     uncapped, _ = run_theory_verification(_theory_grid(tmp_path / "uncapped"))
     assert uncapped == capped
@@ -432,6 +435,7 @@ def test_theory_worker_error_reaches_caller(tmp_path, monkeypatch, capsys):
 
     # Workers are forked after the patch, so they run it too.
     monkeypatch.setattr(harness, "verify_spectral_bounds", fail)
+    monkeypatch.setattr(parallel, "_ONE_BLAS_THREAD", True)
     with pytest.raises(NotSpdError, match="block P2 is not positive definite at n=12"):
         run_theory_verification(_theory_grid(tmp_path))
     code = main(["verify-theory", "--out", str(tmp_path), "--set", "nx = 3", "--set", "ny = 2"])

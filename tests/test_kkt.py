@@ -364,8 +364,12 @@ def test_permuted_systems_are_built_straight_into_csc(nx, ny, log_alpha):
     rows, cols = (order + [2 * n, n, 0]).ravel(), (order + [n, 2 * n, 0]).ravel()
     pairs = (order + [0, n]).ravel()
     rho = float(np.sqrt(sys.alpha))
+    full = sp.bmat(sys.blocks(), format="csr")
+    k = sys.matrix  # built by the same placement, in CSR through the transpose view
+    assert k.format == "csr" and k.has_canonical_format
+    assert k.indices.dtype == full.indices.dtype and _same_arrays(k, full)
     augmented = sp.bmat([[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]], format="csr")
-    expected = {3 * n: sys.matrix[rows][:, cols].tocsc(), 2 * n: augmented[pairs][:, pairs].tocsc()}
+    expected = {3 * n: full[rows][:, cols].tocsc(), 2 * n: augmented[pairs][:, pairs].tocsc()}
     for size, want in expected.items():
         (got,) = [m for m in made.inputs if m.shape[0] == size]
         assert got.format == "csc" and _same_arrays(got, want)
@@ -400,16 +404,17 @@ def test_singular_blocks_raise_named_errors(kkt_2x2):
     n = kkt_2x2.n
     empty = sp.csr_matrix((n, n))
     # Without A, block 2 = BtB has empty columns away from the observations.
-    # The lumped kinds read A^T W_L^-1 A from the operators, so A goes from both.
+    # The system's blocks and the lumped kinds' A^T W_L^-1 A both come from
+    # the operators, so A goes from the operators.
     ops = dataclasses.replace(kkt_2x2.ops, forward=empty)
-    no_forward = dataclasses.replace(kkt_2x2, forward=empty, ops=ops)
+    no_forward = dataclasses.replace(kkt_2x2, ops=ops)
     with pytest.raises(SingularMatrixError, match="block 2"):
         build_preconditioner(no_forward, BDAL_LUMPED_EXACT)
     lazy = build_preconditioner(no_forward, BDAL_EXACT)
     with pytest.raises(SingularMatrixError, match="block 2"):
         lazy.apply_inverse(np.ones(3 * n))
     with pytest.raises(SingularMatrixError, match="KKT"):
-        reference_solution(dataclasses.replace(no_forward, mass=empty))
+        reference_solution(dataclasses.replace(no_forward, ops=dataclasses.replace(ops, mass=empty)))
 
 
 def test_bdal_exact_factors_once_on_first_apply(kkt_2x2, factors):

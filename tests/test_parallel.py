@@ -1,6 +1,6 @@
-"""The one-thread BLAS cap, set at import and held at run time, the
-ordered process map built on it, and the exceptions that cross its worker
-boundary."""
+"""The one-thread OpenBLAS set at import, the ordered process map that
+forks workers only where it holds, and the exception that crosses its
+worker boundary."""
 
 import concurrent.futures
 import json
@@ -11,23 +11,11 @@ import sys
 
 import pytest
 
-from filter_model import AssumptionViolationError
 import kktprec
 from kktprec import parallel
 from kktprec.spectral import ConditionReport, TheoryViolationError
 
 _REPORT = ConditionReport(*(float(k) for k in range(1, 10)))
-
-
-def _controls_or_skip():
-    controls = parallel._openblas_controls()
-    if not controls:
-        pytest.skip("no OpenBLAS thread control in this process")
-    return controls
-
-
-def _counts(controls):
-    return [get_threads() for _, get_threads in controls]
 
 
 def _job(k):
@@ -54,44 +42,32 @@ def _run_python(args, blas_threads, **kwargs):
 
 _PROBE = """
 import json, os
+{before}
 import kktprec
-from kktprec import parallel
 tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
-print(json.dumps([tasks, [get_threads() for _, get_threads in parallel._openblas_controls()]]))
+print(json.dumps([kktprec._ONE_BLAS_THREAD, tasks]))
 """
-
-
-def test_cap_holds_inside_and_restores_previous_counts():
-    controls = _controls_or_skip()
-    original = _counts(controls)
-    try:
-        for set_threads, _ in controls:
-            set_threads(2)
-        previous = _counts(controls)
-        with parallel.single_threaded_blas() as capped:
-            assert capped
-            assert _counts(controls) == [1] * len(controls)
-        assert _counts(controls) == previous
-        with pytest.raises(KeyError):
-            with parallel.single_threaded_blas():
-                raise KeyError("body failed")
-        assert _counts(controls) == previous
-    finally:
-        for (set_threads, _), count in zip(controls, original):
-            set_threads(count)
 
 
 def test_import_starts_no_blas_thread_pool():
     # OpenBLAS reads its thread count when it is loaded; importing the
     # package before numpy must load it with one thread, whatever the
     # environment asked for, so no server thread is started.
-    tasks, counts = json.loads(_run_python(["-c", _PROBE], blas_threads=2).stdout)
+    _, tasks = json.loads(_run_python(["-c", _PROBE.format(before="")], blas_threads=2).stdout)
     if tasks is None:
         pytest.skip("no /proc/self/task")
-    if not counts:
-        pytest.skip("no OpenBLAS thread control in this process")
     assert tasks == 1
-    assert counts == [1] * len(counts)
+
+
+@pytest.mark.parametrize(
+    "before, blas_threads, one_thread",
+    [("", 2, True), ("import numpy", 2, False), ("import numpy", 1, True)],
+)
+def test_import_records_whether_blas_loads_one_thread(before, blas_threads, one_thread):
+    # numpy imported first has loaded OpenBLAS with the environment's count
+    probe = _PROBE.format(before=before)
+    recorded, _ = json.loads(_run_python(["-c", probe], blas_threads).stdout)
+    assert recorded is one_thread
 
 
 def test_verify_theory_output_independent_of_blas_env(tmp_path):
@@ -110,10 +86,12 @@ def test_verify_theory_output_independent_of_blas_env(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_map_in_order_runs_in_workers_when_capped():
-    _controls_or_skip()
+def test_map_in_order_runs_in_workers_when_capped(monkeypatch):
+    if not (parallel._built_on_openblas(parallel.np) and parallel._built_on_openblas(parallel.scipy)):
+        pytest.skip("numpy or scipy is not an OpenBLAS build")
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("one core available")
+    monkeypatch.setattr(parallel, "_ONE_BLAS_THREAD", True)
     results = parallel.map_in_order(_job, range(6))
     assert [value for value, _ in results] == [k * k for k in range(6)]
     assert os.getpid() not in {pid for _, pid in results}
@@ -121,12 +99,10 @@ def test_map_in_order_runs_in_workers_when_capped():
 
 def test_map_in_order_is_serial_without_cap(monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool was started without the BLAS cap")
+        raise AssertionError("a worker pool was started with more than one BLAS thread")
 
-    monkeypatch.setattr(parallel, "_openblas_controls", lambda: [])
+    monkeypatch.setattr(parallel, "_ONE_BLAS_THREAD", False)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    with parallel.single_threaded_blas() as capped:
-        assert not capped
     assert parallel.map_in_order(_job, range(4)) == [(k * k, os.getpid()) for k in range(4)]
 
 
@@ -134,7 +110,6 @@ def test_map_in_order_is_serial_without_cap(monkeypatch):
     "exc, attr",
     [
         (TheoryViolationError("sigma_max(E) = 2.5 <= 2", _REPORT), "report"),
-        (AssumptionViolationError("mode 3: d * r = 2 > c_over = 1", mode=3), "mode"),
     ],
 )
 def test_exceptions_survive_pickling(exc, attr):

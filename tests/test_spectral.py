@@ -278,7 +278,9 @@ def test_preconditioned_dense_names_non_spd_block(kkt_2x2):
     # P1 and P3 stay definite; P2 = BtB + Ct C loses definiteness when the
     # data block is made strongly negative, and the error says which block
     p = build_preconditioner(kkt_2x2, BDAL_EXACT)
-    bad = dataclasses.replace(kkt_2x2, btb=sp.csr_matrix(-1e12 * np.eye(kkt_2x2.n)))
+    ops = dataclasses.replace(kkt_2x2.ops)
+    vars(ops)["btb"] = sp.csr_matrix(-1e12 * np.eye(kkt_2x2.n))  # in place of the cached B^T B
+    bad = dataclasses.replace(kkt_2x2, ops=ops)
     with pytest.raises(NotSpdError, match="block P2 "):
         preconditioned_kkt_dense(bad, p)
 
