@@ -33,8 +33,10 @@ Every solve meant to be exact goes through one cached sparse LU
 solve, the factored BDAL blocks, bdal-exact's mass solves and its
 augmented P2 system, the coarsest level of each multigrid cycle, the R*R
 solve of the baseline preconditioner, and the forward and adjoint PDE
-solves (one LU of A per ProblemOperators). Only the spectral verifier
-densifies, one n x n block of KktSystem.matrix at a time.
+solves (one LU of A per ProblemOperators, made by the reduced-Hessian
+CG, its only reader; synthesize_data factors A in an LU of its own that
+it frees on return). Only the spectral verifier densifies, one n x n
+block of KktSystem.matrix at a time.
 
 Every LU except those of A and R*R runs in SuperLU's symmetric mode (one
 ordering for rows and columns, diagonal pivots). The saddle-point systems
@@ -110,6 +112,14 @@ class NonpositiveDiagonalError(ValueError):
     pass
 
 
+def _forward_lu(a: sp.csr_matrix) -> SparseLU:
+    """LU of the forward operator A, refined to the true residual."""
+    # COLAMD, not symmetric mode: this LU drives the reduced-Hessian CG,
+    # which amplifies rounding, and a symmetric-mode LU moved cg-hess
+    # iterations-to-target on the ladder by up to 4.
+    return SparseLU(a, "forward", EXACT_SOLVE_TOL, residual=True)
+
+
 def _triple_product(a: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
     """a^T diag(d) a, symmetrized exactly to kill last-ulp asymmetry from
     summation order. d must be positive, so the result is SPSD."""
@@ -140,12 +150,11 @@ class ProblemOperators:
     @cached_property
     def forward_solver(self) -> SparseLU:
         """LU of A, factored on first use and shared by every forward and
-        adjoint solve of this instance. Solves meet the true-residual
-        contract ||A x - b|| <= EXACT_SOLVE_TOL * ||b|| or raise."""
-        # COLAMD, not symmetric mode: this LU drives the reduced-Hessian CG,
-        # which amplifies rounding, and a symmetric-mode LU moved cg-hess
-        # iterations-to-target on the ladder by up to 4.
-        return SparseLU(self.forward, "forward", EXACT_SOLVE_TOL, residual=True)
+        adjoint solve of the reduced-Hessian CG on this instance, its only
+        reader (synthesize_data factors its own). Solves meet the
+        true-residual contract ||A x - b|| <= EXACT_SOLVE_TOL * ||b|| or
+        raise."""
+        return _forward_lu(self.forward)
 
     @cached_property
     def btb(self) -> sp.csr_matrix:
@@ -361,31 +370,33 @@ def build_preconditioner(
     n = sys.n
 
     if kind == BDAL_EXACT:
-        # Factored on first apply: the spectral verifier reads only kind
-        # and rho, and never applies this preconditioner. The augmented
-        # system's Schur complement is P2, so its LU applies P2^-1 exactly.
-        order = nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)
-        pairs = (order[:, None] + [0, n]).ravel()
-
+        # Built on first apply, the vertex order included: the spectral
+        # verifier reads only kind and rho, and never applies this
+        # preconditioner. The augmented system's Schur complement is P2, so
+        # its LU applies P2^-1 exactly.
         @cache
-        def factors() -> tuple[SparseLU, SparseLU, SparseLU]:
+        def factors() -> tuple[np.ndarray, SparseLU, SparseLU, SparseLU]:
+            order = nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)
+            pairs = (order[:, None] + [0, n]).ravel()
             block1 = sys.alpha * sys.reg + rho * sys.mass
             augmented = _permuted_csc([[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]], pairs, pairs)
             return (
+                order,
                 SparseLU(block1, "block 1", EXACT_SOLVE_TOL, symmetric=True),
                 SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL, symmetric=True),
                 SparseLU(augmented, "block 2", EXACT_SOLVE_TOL, symmetric=True, ordered=True),
             )
 
         def solve2(r: np.ndarray) -> np.ndarray:
+            order, _, _, augmented = factors()
             rhs = np.zeros(2 * n)
             rhs[1::2] = r[order]
             z = np.empty(n)
-            z[order] = factors()[2](rhs)[::2]
+            z[order] = augmented(rhs)[::2]
             return z
 
-        solve1 = lambda r: factors()[0](r)
-        solve3 = lambda r: rho * factors()[1](r)
+        solve1 = lambda r: factors()[1](r)
+        solve3 = lambda r: rho * factors()[2](r)
 
     else:
         w_diag = sys.ops.mass_lumped
@@ -436,8 +447,8 @@ class ReducedHessianOperator:
     @cached_property
     def reg_solver(self) -> SparseLU:
         """LU of R*R, factored on first use, refined to backward error 1e-12."""
-        # COLAMD for the same reason as ProblemOperators.forward_solver: this
-        # LU preconditions the baseline CG, whose counts follow its rounding.
+        # COLAMD for the same reason as _forward_lu: this LU preconditions
+        # the baseline CG, whose counts follow its rounding.
         return SparseLU(self.reg, "R*R", EXACT_SOLVE_TOL)
 
     def apply(self, q: np.ndarray) -> np.ndarray:
@@ -482,6 +493,11 @@ def regularization_prec_operator(h: ReducedHessianOperator) -> Operator:
 
 def synthesize_data(ops: ProblemOperators, q_true: np.ndarray) -> np.ndarray:
     """Noise-free observations of the state generated by q_true; the forward
-    solve meets ||A u - W q|| <= EXACT_SOLVE_TOL * ||W q|| or raises."""
-    u_true = ops.forward_solver(ops.mass @ np.asarray(q_true, dtype=np.float64))
+    solve meets ||A u - W q|| <= EXACT_SOLVE_TOL * ||W q|| or raises.
+
+    A is factored here, by the same call as ops.forward_solver, and the LU
+    is freed on return: it would otherwise stay alive through the
+    reference factorization, while only the reduced-Hessian CG reads A's
+    LU later."""
+    u_true = _forward_lu(ops.forward)(ops.mass @ np.asarray(q_true, dtype=np.float64))
     return ops.observation @ u_true

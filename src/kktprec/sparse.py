@@ -5,12 +5,15 @@ Sparse operators throughout the package are canonical scipy CSR matrices
 (sorted column indices, no duplicate entries, float64 data) and are used
 through scipy's own ``@``, ``.T``, ``+`` and ``.toarray()``; dense matrices
 are plain 2-D float64 numpy arrays.
+
+scipy.sparse.linalg (SuperLU, with ARPACK and PROPACK beside it) is
+imported by the first SparseLU, not with this module, so a process that
+never factors, such as every verify-theory process, never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 
 class SingularMatrixError(ValueError):
@@ -109,6 +112,8 @@ class SparseLU:
     def __init__(
         self, m, name: str, tol: float, residual: bool = False, symmetric: bool = False, ordered: bool = False
     ):
+        import scipy.sparse.linalg as spla
+
         self.name = name
         self.matrix = m
         self._tol = tol

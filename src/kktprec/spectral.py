@@ -16,10 +16,15 @@ verify_spectral_bounds checks all five numerically on dense assemblies,
 with E formed from K's four nonzero blocks as the block-Cholesky
 congruence L^(-1) K L^(-T), P = L L^T: it differs from P^(-1/2) K P^(-1/2)
 by an orthogonal block-diagonal factor, so it has the same spectrum, and F
-and G the same singular values. E's eigenvalues are solved on E's own
-storage, so that solve holds E and the copied coupling rows Y = [F G],
-about 11 n^2 doubles. beta^2 is lambda_max(G^T Q_reg G), which shares the
-nonzero spectrum of Q_reg Q_data.
+and G the same singular values. beta^2 is lambda_max(G^T Q_reg G), which
+shares the nonzero spectrum of Q_reg Q_data.
+
+Working set: E (9 n^2 doubles) is allocated first and each block written
+as soon as its dense factors exist, so forming it holds at most two n x n
+factors and the temporaries of one block beside it. The n x n
+checks then read F and G as views of E and hold a few n x n products at
+a time. E's eigenvalues come last, solved on E's own storage, so that
+solve holds E alone.
 
 For the exact BDAL preconditioner the last two checks hold with equality.
 Y Y^T = Q_reg + Q_data, so sigma_min(Y)^2 = 2 delta; and X + Y^T Y =
@@ -110,29 +115,38 @@ def sigma_min_bound(c: AmGmConstants) -> float:
 
 
 def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of m, written over m: callers pass a fresh
+    temporary, Fortran-ordered where they can, so LAPACK needs no copy."""
     try:
-        return cholesky(m, lower=True, check_finite=False)
+        return cholesky(m, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise NotSpdError(f"preconditioner block {name} is not positive definite: {exc}") from exc
 
 
 def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return solve_triangular(l, b, lower=True, check_finite=False)
+    """L^(-1) b, written over b where LAPACK can: callers pass b only when
+    nothing reads it afterwards."""
+    return solve_triangular(l, b, lower=True, overwrite_b=True, check_finite=False)
 
 
 def _congruent(l: np.ndarray, block: sp.spmatrix) -> np.ndarray:
     """Symmetric part of L^(-1) block L^(-T), for a symmetric block."""
-    x = _solve_lower(l, _solve_lower(l, block.toarray()).T).T
+    x = _solve_lower(l, _solve_lower(l, block.toarray(order="F")).T).T
     return 0.5 * (x + x.T)
 
 
 def preconditioned_kkt_dense(sys: KktSystem, prec: Preconditioner) -> np.ndarray:
     """Dense E = L^(-1) K L^(-T) for the exact BDAL blocks P_i = L_i L_i^T
     (desk scale only), formed from K's four nonzero blocks: the diagonal
-    L1^(-1) alpha R*R L1^(-T) and L2^(-1) BtB L2^(-T), symmetrized, and the
-    coupling F = L3^(-1) (-W) L1^(-T) and G = (L3^(-1) A) L2^(-T), mirrored
-    above the diagonal. With P3 = W / rho, P2 = BtB + rho At W^(-1) A is
-    exactly BtB + Ct C for C = L3^(-1) A."""
+    X1 = L1^(-1) alpha R*R L1^(-T) and X2 = L2^(-1) BtB L2^(-T), symmetrized,
+    and the coupling F = L3^(-1) (-W) L1^(-T) and G = (L3^(-1) A) L2^(-T),
+    mirrored above the diagonal. With P3 = W / rho, P2 = BtB + rho At W^(-1) A
+    is exactly BtB + Ct C for C = L3^(-1) A.
+
+    Each block is written into E as soon as its factors exist, and each
+    n x n factor is freed after its last block: L1 after X1 and F, L3 once
+    C is formed, C after G, L2 after X2. So at most two of L1, L3, C and
+    L2 are alive beside E."""
     if sys.dim > MAX_DENSE_DIM:
         raise DeskScaleError(f"dense verification refused at dim {sys.dim} > {MAX_DENSE_DIM}")
     if prec.kind != BDAL_EXACT:
@@ -141,19 +155,24 @@ def preconditioned_kkt_dense(sys: KktSystem, prec: Preconditioner) -> np.ndarray
             f"(got kind {prec.kind!r}); the provable structure requires it"
         )
     n, rho = sys.n, prec.rho
-    w = sys.mass.toarray()
-    l1 = _cholesky(sys.alpha * sys.reg.toarray() + rho * w, "P1")
-    l3 = _cholesky((1.0 / rho) * w, "P3")
-    del w  # only the factors and C stay alive while E (9 n^2) fills
-    c = _solve_lower(l3, sys.forward.toarray())
-    l2 = _cholesky(sys.btb.toarray() + c.T @ c, "P2")
-
     q, u, eta = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
     e = np.zeros((3 * n, 3 * n))
+
+    w = sys.mass.toarray(order="F")
+    l1 = _cholesky(sys.alpha * sys.reg.toarray(order="F") + rho * w, "P1")
+    l3 = _cholesky((1.0 / rho) * w, "P3")
+    del w
     e[q, q] = _congruent(l1, sys.alpha * sys.reg)
-    e[u, u] = _congruent(l2, sys.btb)
-    e[eta, q] = _solve_lower(l1, _solve_lower(l3, (-sys.mass).toarray()).T).T
+    e[eta, q] = _solve_lower(l1, _solve_lower(l3, (-sys.mass).toarray(order="F")).T).T
+    del l1
+    c = _solve_lower(l3, sys.forward.toarray(order="F"))
+    del l3
+
+    l2 = _cholesky(sys.btb.toarray() + c.T @ c, "P2")
     e[eta, u] = _solve_lower(l2, c.T).T
+    del c
+    e[u, u] = _congruent(l2, sys.btb)
+    del l2
     e[: 2 * n, eta] = e[eta, : 2 * n].T
     return e
 
@@ -167,8 +186,22 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
     """
     n = sys.n
     e = preconditioned_kkt_dense(sys, prec)
-    y = e[2 * n :, : 2 * n].copy()
+    # The n x n checks read views of E's coupling rows Y = [F G], so they
+    # run before the eigensolve overwrites E.
+    y = e[2 * n :, : 2 * n]
     f, g = y[:, :n], y[:, n:]
+    q_reg = f @ f.T
+    delta = 0.5 * float(np.linalg.eigvalsh(q_reg + g @ g.T)[0])
+    # Q_reg Q_data = (F F^T G) G^T shares its nonzero spectrum with G^T Q_reg G.
+    beta_sq = float(np.linalg.eigvalsh(g.T @ q_reg @ g)[-1])
+    beta = math.sqrt(max(beta_sq, 0.0))
+    del q_reg
+
+    sigma_min_y = float(np.sqrt(max(np.linalg.eigvalsh(y @ y.T)[0], 0.0)))
+    # lambda_min([[I, F^T G], [G^T F, I]]) = 1 - sigma_max(F^T G)
+    lambda_min_coercivity = 1.0 - float(svdvals(f.T @ g)[0])
+    del y, f, g
+
     # E is exactly symmetric, so e.T is a Fortran-ordered view of it that
     # LAPACK overwrites in place, with no second 9n^2 buffer.
     sigma = np.abs(eigh(e.T, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"))
@@ -176,16 +209,6 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
     sigma_max = float(sigma.max())
     sigma_min = float(sigma.min())
     cond = sigma_max / sigma_min
-
-    q_reg = f @ f.T
-    delta = 0.5 * float(np.linalg.eigvalsh(q_reg + g @ g.T)[0])
-    # Q_reg Q_data = (F F^T G) G^T shares its nonzero spectrum with G^T Q_reg G.
-    beta_sq = float(np.linalg.eigvalsh(g.T @ q_reg @ g)[-1])
-    beta = math.sqrt(max(beta_sq, 0.0))
-
-    sigma_min_y = float(np.sqrt(max(np.linalg.eigvalsh(y @ y.T)[0], 0.0)))
-    # lambda_min([[I, F^T G], [G^T F, I]]) = 1 - sigma_max(F^T G)
-    lambda_min_coercivity = 1.0 - float(svdvals(f.T @ g)[0])
 
     constants = AmGmConstants(delta=delta, beta=beta)
     bound_sigma = sigma_min_bound(constants)

@@ -337,9 +337,10 @@ def test_each_factored_matrix_exists_once(factors, monkeypatch):
     h.apply(regularization_prec_operator(h)(np.ones(sys.n)))
     reference_solution(sys)
     assert "matrix" not in vars(sys)  # K is left for MINRES to assemble
-    # A; bdal-exact's block 1, mass and P2 system; two lumped blocks; two
-    # coarse levels (29x20 cannot be halved); R*R; the reference
-    assert len(lus) == len(factors.inputs) == 10
+    # A in synthesis and again for the CG; bdal-exact's block 1, mass and
+    # P2 system; two lumped blocks; two coarse levels (29x20 cannot be
+    # halved); R*R; the reference
+    assert len(lus) == len(factors.inputs) == 11
     for lu, m in zip(lus, factors.inputs):
         assert np.shares_memory(lu.matrix.data, m.data), lu.name
 
@@ -491,5 +492,19 @@ def test_reduced_hessian_factors_forward_once(kkt_2x2, factors):
     for _ in range(3):
         h.apply(rhs)
     reduced_hessian(sys).apply(rhs)
-    synthesize_data(ops, rhs)
     assert len(factors) == 1
+    synthesize_data(ops, rhs)  # factors an LU of its own, freed on return
+    assert len(factors) == 2
+    assert vars(ops)["forward_solver"] is h.forward_solver
+
+
+def test_reduced_regularization_solve_factors_a_once(factors):
+    sys = make_instance(nx=10, ny=7, n_obs=50, alpha=1e-4)
+    assert "forward_solver" not in vars(sys.ops)  # synthesis kept no LU of A
+    factors.clear()
+    h = reduced_hessian(sys)
+    b = h.rhs(sys.y, sys.ops.observation)
+    report = pcg(h.as_operator(), regularization_prec_operator(h), b, tol=1e-8, maxit=200)
+    assert report.iterations > 1
+    a_inputs = [m for m in factors.inputs if np.shares_memory(m.data, sys.forward.data)]
+    assert len(a_inputs) == 1 and len(factors) == 2  # A, shared by h.rhs and every apply; R*R

@@ -364,6 +364,38 @@ def verified(request):
     return sys, p, verify_spectral_bounds(sys, p)
 
 
+def _e_all_factors_first(sys, p):
+    # E as formed while every dense factor stayed alive to the end: P1's,
+    # P3's and P2's factors and C first, then each block in turn
+    def solve(l, b):
+        return sla.solve_triangular(l, b, lower=True, check_finite=False)
+
+    def congruent(l, block):
+        x = solve(l, solve(l, block.toarray()).T).T
+        return 0.5 * (x + x.T)
+
+    n, rho = sys.n, p.rho
+    w = sys.mass.toarray()
+    l1 = sla.cholesky(sys.alpha * sys.reg.toarray() + rho * w, lower=True, check_finite=False)
+    l3 = sla.cholesky((1.0 / rho) * w, lower=True, check_finite=False)
+    c = solve(l3, sys.forward.toarray())
+    l2 = sla.cholesky(sys.btb.toarray() + c.T @ c, lower=True, check_finite=False)
+    q, u, eta = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    e = np.zeros((3 * n, 3 * n))
+    e[q, q] = congruent(l1, sys.alpha * sys.reg)
+    e[u, u] = congruent(l2, sys.btb)
+    e[eta, q] = solve(l1, solve(l3, (-sys.mass).toarray()).T).T
+    e[eta, u] = solve(l2, c.T).T
+    e[: 2 * n, eta] = e[eta, : 2 * n].T
+    return e
+
+
+def test_preconditioned_kkt_equals_all_factors_first_oracle(verified):
+    # freeing each factor after its last block changes no arithmetic
+    sys, p, _ = verified
+    assert np.array_equal(preconditioned_kkt_dense(sys, p), _e_all_factors_first(sys, p))
+
+
 def test_coercivity_matches_dense_eigensolve(verified):
     # check 5 reads 1 - sigma_max(F^T G) from an n x n SVD; the oracle is the
     # lowest eigenvalue of the 2n x 2n matrix [[I, F^T G], [G^T F, I]]
