@@ -39,13 +39,13 @@ def main():
     print(f"wrote {args.out}/convergence.csv")
     print("iter    bdal-lumped-exact    reduced-cg")
     for k in (0, 1, 2, 3, 5, 10, 20, 50, 100, args.maxit):
-        eb = bdal.rows[k].rel_param_error if k < len(bdal.rows) else None
-        ec = cg.rows[k].rel_param_error if k < len(cg.rows) else None
+        eb = bdal.rel_param_error[k] if k < len(bdal.rel_param_error) else None
+        ec = cg.rel_param_error[k] if k < len(cg.rel_param_error) else None
         if eb is None and ec is None:
             continue
         print(f"{k:4d}    {_fmt(eb):>17}    {_fmt(ec):>10}")
-    e3 = bdal.rows[min(3, len(bdal.rows) - 1)].rel_param_error
-    e50 = cg.rows[min(50, len(cg.rows) - 1)].rel_param_error
+    e3 = bdal.rel_param_error[min(3, len(bdal.rel_param_error) - 1)]
+    e50 = cg.rel_param_error[min(50, len(cg.rel_param_error) - 1)]
     print(f"block solver after 3 iterations: {e3:.3e}")
     print(f"reduced CG after 50 iterations:  {e50:.3e}")
     print(f"iterations to 1e-5: {bdal.iterations_to_target} (block), "

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -90,21 +90,17 @@ def synth_source(mesh: TriMesh) -> NodalField:
 
 
 @dataclass
-class IterationRow:
-    iteration: int
-    rel_param_error: float
-    precond_residual: float
-    wall_s: float
-
-
-@dataclass
 class RunRecord:
-    """One solver run: config echo, per-iteration rows, and the first
-    iteration at which the relative parameter error fell below the target."""
+    """One solver run: config echo; per iterate k = 0..iterations, the
+    relative parameter error, the preconditioned residual and the
+    cumulative wall time; and the first iteration at which the relative
+    parameter error fell below the target."""
 
     run_id: str
     config_echo: dict
-    rows: list[IterationRow] = field(default_factory=list)
+    rel_param_error: np.ndarray
+    precond_residual: np.ndarray
+    wall_s: list[float]
     iterations_to_target: int | None = None
     converged: bool = False
 
@@ -116,11 +112,8 @@ def _fmt(x: float) -> str:
 def write_run_csv(path: str, records: list[RunRecord]) -> None:
     lines = [",".join(CSV_COLUMNS)]
     for rec in records:
-        for row in rec.rows:
-            lines.append(
-                f"{rec.run_id},{row.iteration},{_fmt(row.rel_param_error)},"
-                f"{_fmt(row.precond_residual)},{_fmt(row.wall_s)}"
-            )
+        for k, row in enumerate(zip(rec.rel_param_error, rec.precond_residual, rec.wall_s)):
+            lines.append(f"{rec.run_id},{k}," + ",".join(map(_fmt, row)))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -141,11 +134,10 @@ class _Stopwatch:
         self.marks.append(time.perf_counter() - self._start if self.enabled else 0.0)
 
 
-def _obs_source(cfg: ExperimentConfig, n_obs: int, out_dir: str, tag: str = "") -> str:
+def _obs_source(cfg: ExperimentConfig, n_obs: int, out_dir: str) -> str:
     """Write (or copy through) the observation file before any solve; return
     its path. All solves re-read from disk."""
-    name = f"observations{tag}-n{n_obs}.txt"
-    path = os.path.join(out_dir, name)
+    path = os.path.join(out_dir, f"observations-n{n_obs}.txt")
     if cfg.obs_file is not None:
         obs = read_observations(cfg.obs_file, cfg.lx, cfg.ly)
         if obs.n_obs != n_obs:
@@ -184,22 +176,6 @@ def _run_id(kind: str, nx: int, ny: int, alpha: float, n_obs: int) -> str:
     return f"{solver}-{kind}-nx{nx}-ny{ny}-alpha{alpha:g}-obs{n_obs}"
 
 
-def _record_from_report(run_id: str, cfg_echo: dict, report, watch: _Stopwatch, target: float) -> RunRecord:
-    errors = report.error_history
-    rec = RunRecord(run_id=run_id, config_echo=cfg_echo, converged=report.converged)
-    for k in range(report.iterations + 1):
-        rec.rows.append(
-            IterationRow(
-                iteration=k,
-                rel_param_error=float(errors[k]),
-                precond_residual=float(report.residual_history[k]),
-                wall_s=watch.marks[k],
-            )
-        )
-    rec.iterations_to_target = _first_below(errors, target)
-    return rec
-
-
 def solve_one(
     cfg: ExperimentConfig,
     sys: KktSystem,
@@ -219,7 +195,6 @@ def solve_one(
         if k in snapshots:
             snapshot_sink(k, x[:n])
 
-    echo = {"kind": kind, "alpha": sys.alpha, "n": n}
     if kind in BDAL_KINDS:
         prec = build_preconditioner(sys, kind, rho=cfg.rho_for(sys.alpha))
         report = minres(
@@ -245,7 +220,15 @@ def solve_one(
         )
     else:
         raise ValueError(f"unknown solver kind {kind!r}")
-    return _record_from_report(run_id, echo, report, watch, cfg.target_error)
+    return RunRecord(
+        run_id=run_id,
+        config_echo={"kind": kind, "alpha": sys.alpha, "n": n},
+        rel_param_error=report.error_history,
+        precond_residual=report.residual_history,
+        wall_s=watch.marks,
+        iterations_to_target=_first_below(report.error_history, cfg.target_error),
+        converged=report.converged,
+    )
 
 
 def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> list[RunRecord]:

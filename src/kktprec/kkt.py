@@ -87,7 +87,7 @@ from .fem import (
 from .krylov import Operator
 from .mesh import ObservationSet, TriMesh, nested_dissection_order
 from .multigrid import Cycle
-from .sparse import SparseLU
+from .sparse import EXACT_SOLVE_TOL, SparseLU
 
 BDAL_EXACT = "bdal-exact"
 BDAL_LUMPED_EXACT = "bdal-lumped-exact"
@@ -96,8 +96,6 @@ REDUCED_REGULARIZATION = "reduced-regularization"
 
 BDAL_KINDS = (BDAL_EXACT, BDAL_LUMPED_EXACT, BDAL_LUMPED_INEXACT)
 PRECONDITIONER_KINDS = BDAL_KINDS + (REDUCED_REGULARIZATION,)
-
-EXACT_SOLVE_TOL = 1e-12
 
 
 class UnknownPreconditionerError(ValueError):

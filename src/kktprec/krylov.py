@@ -7,13 +7,21 @@ them once. Convergence is measured in the preconditioned residual norm
 sqrt(r^T M^{-1} r), which for MINRES is the quantity its recurrence
 minimizes. The custom loops exist for what scipy's solvers do not return:
 the per-iterate residual and error histories.
+
+Both solvers share one bookkeeping path. It checks the right-hand side and
+the error reference, starts from x0 = 0 with r0 = b and z0 = M^{-1} r0,
+records each iterate's residual and error and calls the callback, and
+stops once the preconditioned residual has dropped below tol times its
+initial value or after maxit iterations. Each solver supplies only its
+recurrence and its own breakdown tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -54,7 +62,8 @@ class SolveReport:
     residual_history holds preconditioned residual norms, entry 0 being the
     initial residual, so its length is iterations + 1. error_history is
     populated only when a reference solution was supplied and holds
-    ||ref - select(x_k)|| / ||ref|| per iterate.
+    ||ref - select(x_k)|| / ||ref|| per iterate, select being the identity
+    unless minres is given one.
     """
 
     iterations: int
@@ -68,19 +77,76 @@ class SolveReport:
 _BREAKDOWN_REL = 1e-14
 
 
-def _error_tracker(reference, select):
-    if reference is None:
-        return None
-    ref = np.asarray(reference, dtype=np.float64)
-    norm_ref = float(np.linalg.norm(ref))
-    if norm_ref == 0.0:
-        raise ValueError("error reference must be nonzero")
-    pick = select if select is not None else (lambda x: x)
+def _solve(
+    prec: Operator,
+    b: np.ndarray,
+    tol: float,
+    maxit: int,
+    reference: np.ndarray | None,
+    select: Operator | None,
+    callback: Callable[[int, np.ndarray], None] | None,
+    steps: Callable[..., Iterator[tuple[np.ndarray, float, bool]]],
+) -> SolveReport:
+    """Run one solver's recurrence from x0 = 0 and record every iterate.
 
-    def err(x):
-        return float(np.linalg.norm(ref - pick(x))) / norm_ref
+    steps(x0, r0, z0, r0^T z0) yields, for k = 1, 2, ..., the iterate x_k,
+    its preconditioned residual norm and whether the recurrence broke down.
+    A breakdown ends the solve unconverged unless the same iterate met the
+    tolerance.
+    """
+    b = np.asarray(b, dtype=np.float64)
+    if b.ndim != 1:
+        raise ValueError(f"rhs must be a vector, got shape {b.shape}")
+    if reference is not None:
+        ref = np.asarray(reference, dtype=np.float64)
+        norm_ref = float(np.linalg.norm(ref))
+        if norm_ref == 0.0:
+            raise ValueError("error reference must be nonzero")
+        pick = select if select is not None else (lambda x: x)
 
-    return err
+    x = np.zeros(b.size)
+    r = b.copy()
+    z = prec(r)
+    rz = float(r @ z)
+    if rz < 0.0:
+        raise PreconditionerNotSpdError("negative r^T M^{-1} r at start")
+    res0 = math.sqrt(rz)
+
+    res_hist: list[float] = []
+    err_hist: list[float] = []
+
+    def record(k, x, res):
+        res_hist.append(res)
+        if reference is not None:
+            err_hist.append(float(np.linalg.norm(ref - pick(x))) / norm_ref)
+        if callback:
+            callback(k, x)
+
+    record(0, x, res0)
+    iterations = 0
+    converged = res0 == 0.0
+    breakdown = False
+    if not converged:
+        iterates = steps(x, r, z, rz)
+        while iterations < maxit:
+            x, res, broke = next(iterates)
+            iterations += 1
+            record(iterations, x, res)
+            if res <= tol * res0:
+                converged = True
+                break
+            if broke:
+                breakdown = True
+                break
+
+    return SolveReport(
+        iterations=iterations,
+        converged=converged,
+        residual_history=np.array(res_hist),
+        error_history=np.array(err_hist) if reference is not None else None,
+        solution=x,
+        breakdown=breakdown,
+    )
 
 
 def minres(
@@ -100,110 +166,59 @@ def minres(
     breakdown with a nonconverged residual is reported on the SolveReport,
     not raised.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1:
-        raise ValueError(f"rhs must be a vector, got shape {b.shape}")
-    n = b.size
 
-    err = _error_tracker(reference, select)
-    x = np.zeros(n)
+    def steps(x, r1, y, beta1_sq):
+        # Lanczos + Givens recurrences; phibar tracks the preconditioned
+        # residual norm exactly and can only shrink (sn lies in [0, 1]).
+        beta1 = math.sqrt(beta1_sq)
+        oldb = 0.0
+        beta = beta1
+        dbar = 0.0
+        epsln = 0.0
+        phibar = beta1
+        cs = -1.0
+        sn = 0.0
+        w = np.zeros(x.size)
+        w2 = np.zeros(x.size)
+        r2 = r1
 
-    r1 = b.copy()
-    y = prec(r1)
-    beta1_sq = float(r1 @ y)
-    if beta1_sq < 0.0:
-        raise PreconditionerNotSpdError("negative r^T M^{-1} r at start")
-    beta1 = math.sqrt(beta1_sq)
+        for k in itertools.count(1):
+            v = y / beta
+            y = op(v)
+            if k >= 2:
+                y = y - (beta / oldb) * r1
+            alfa = float(v @ y)
+            y = y - (alfa / beta) * r2
+            r1 = r2
+            r2 = y
+            y = prec(r2)
+            oldb = beta
+            beta_sq = float(r2 @ y)
+            if beta_sq < 0.0:
+                raise PreconditionerNotSpdError("negative r^T M^{-1} r in Lanczos step")
+            beta = math.sqrt(beta_sq)
 
-    res_hist = [beta1]
-    err_hist = [err(x)] if err else None
-    if callback:
-        callback(0, x)
+            oldeps = epsln
+            delta = cs * dbar + sn * alfa
+            gbar = sn * dbar - cs * alfa
+            epsln = sn * beta
+            dbar = -cs * beta
+            gamma = math.hypot(gbar, beta)
+            gamma = max(gamma, np.finfo(np.float64).tiny)
+            cs = gbar / gamma
+            sn = beta / gamma
+            phi = cs * phibar
+            phibar = sn * phibar
 
-    if beta1 == 0.0:
-        return SolveReport(
-            iterations=0,
-            converged=True,
-            residual_history=np.array(res_hist),
-            error_history=np.array(err_hist) if err_hist is not None else None,
-            solution=x,
-        )
+            w1 = w2
+            w2 = w
+            w = (v - oldeps * w1 - delta * w2) / gamma
+            x = x + phi * w
+            # beta ~ 0: invariant Krylov subspace reached; the residual
+            # test before this flag says whether it was a happy breakdown.
+            yield x, phibar, beta <= _BREAKDOWN_REL * beta1
 
-    # Lanczos + Givens recurrences; phibar tracks the preconditioned
-    # residual norm exactly and can only shrink (sn lies in [0, 1]).
-    oldb = 0.0
-    beta = beta1
-    dbar = 0.0
-    epsln = 0.0
-    phibar = beta1
-    cs = -1.0
-    sn = 0.0
-    w = np.zeros(n)
-    w2 = np.zeros(n)
-    r2 = r1
-
-    iterations = 0
-    converged = False
-    breakdown = False
-
-    while iterations < maxit:
-        iterations += 1
-        v = y / beta
-        y = op(v)
-        if iterations >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = float(v @ y)
-        y = y - (alfa / beta) * r2
-        r1 = r2
-        r2 = y
-        y = prec(r2)
-        oldb = beta
-        beta_sq = float(r2 @ y)
-        if beta_sq < 0.0:
-            raise PreconditionerNotSpdError("negative r^T M^{-1} r in Lanczos step")
-        beta = math.sqrt(beta_sq)
-
-        oldeps = epsln
-        delta = cs * dbar + sn * alfa
-        gbar = sn * dbar - cs * alfa
-        epsln = sn * beta
-        dbar = -cs * beta
-        gamma = math.hypot(gbar, beta)
-        gamma = max(gamma, np.finfo(np.float64).tiny)
-        cs = gbar / gamma
-        sn = beta / gamma
-        phi = cs * phibar
-        phibar = sn * phibar
-
-        w1 = w2
-        w2 = w
-        w = (v - oldeps * w1 - delta * w2) / gamma
-        x = x + phi * w
-
-        res_hist.append(phibar)
-        if err:
-            err_hist.append(err(x))
-        if callback:
-            callback(iterations, x)
-
-        if phibar <= tol * beta1:
-            converged = True
-            break
-        if beta <= _BREAKDOWN_REL * beta1:
-            # Invariant Krylov subspace reached; residual says whether this
-            # is a happy breakdown.
-            breakdown = True
-            converged = phibar <= tol * beta1
-            break
-
-    return SolveReport(
-        iterations=iterations,
-        converged=converged,
-        residual_history=np.array(res_hist),
-        error_history=np.array(err_hist) if err_hist is not None else None,
-        solution=x,
-        breakdown=breakdown,
-    )
+    return _solve(prec, b, tol, maxit, reference, select, callback, steps)
 
 
 def pcg(
@@ -213,75 +228,29 @@ def pcg(
     tol: float = 1e-10,
     maxit: int = 500,
     reference: np.ndarray | None = None,
-    select: Operator | None = None,
     callback: Callable[[int, np.ndarray], None] | None = None,
 ) -> SolveReport:
     """Preconditioned conjugate gradients for SPD systems.
 
     Raises IndefiniteOperatorError on nonpositive curvature p^T A p.
     """
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim != 1:
-        raise ValueError(f"rhs must be a vector, got shape {b.shape}")
-    n = b.size
 
-    err = _error_tracker(reference, select)
-    x = np.zeros(n)
-    r = b.copy()
-    z = prec(r)
-    rz = float(r @ z)
-    if rz < 0.0:
-        raise PreconditionerNotSpdError("negative r^T M^{-1} r at start")
-    res0 = math.sqrt(rz)
+    def steps(x, r, z, rz):
+        p = z.copy()
+        for k in itertools.count(1):
+            ap = op(p)
+            pap = float(p @ ap)
+            if pap <= 0.0:
+                raise IndefiniteOperatorError(f"curvature p^T A p = {pap:.3e} at iteration {k}")
+            step = rz / pap
+            x = x + step * p
+            r = r - step * ap
+            z = prec(r)
+            rz_new = float(r @ z)
+            if rz_new < 0.0:
+                raise PreconditionerNotSpdError("negative r^T M^{-1} r during iteration")
+            yield x, math.sqrt(rz_new), False
+            p = z + (rz_new / rz) * p
+            rz = rz_new
 
-    res_hist = [res0]
-    err_hist = [err(x)] if err else None
-    if callback:
-        callback(0, x)
-
-    if res0 == 0.0:
-        return SolveReport(
-            iterations=0,
-            converged=True,
-            residual_history=np.array(res_hist),
-            error_history=np.array(err_hist) if err_hist is not None else None,
-            solution=x,
-        )
-
-    p = z.copy()
-    iterations = 0
-    converged = False
-    while iterations < maxit:
-        iterations += 1
-        ap = op(p)
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise IndefiniteOperatorError(f"curvature p^T A p = {pap:.3e} at iteration {iterations}")
-        step = rz / pap
-        x = x + step * p
-        r = r - step * ap
-        z = prec(r)
-        rz_new = float(r @ z)
-        if rz_new < 0.0:
-            raise PreconditionerNotSpdError("negative r^T M^{-1} r during iteration")
-        res = math.sqrt(rz_new)
-
-        res_hist.append(res)
-        if err:
-            err_hist.append(err(x))
-        if callback:
-            callback(iterations, x)
-
-        if res <= tol * res0:
-            converged = True
-            break
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-
-    return SolveReport(
-        iterations=iterations,
-        converged=converged,
-        residual_history=np.array(res_hist),
-        error_history=np.array(err_hist) if err_hist is not None else None,
-        solution=x,
-    )
+    return _solve(prec, b, tol, maxit, reference, None, callback, steps)

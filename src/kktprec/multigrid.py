@@ -21,9 +21,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import SparseLU
-
-COARSE_SOLVE_TOL = 1e-12
+from .sparse import EXACT_SOLVE_TOL, SparseLU
 
 
 def prolongation(nx: int, ny: int) -> sp.csr_matrix:
@@ -58,7 +56,7 @@ class Cycle:
             self.prolongations.append(p)
             self.restrictions.append(p.T.tocsr())  # p.T would build a new matrix per call
         self.smoothers = [(1.0 / m.diagonal(), gershgorin_bound(m)) for m in self.matrices[:-1]]
-        self.coarse = SparseLU(self.matrices[-1], name, COARSE_SOLVE_TOL, symmetric=True)
+        self.coarse = SparseLU(self.matrices[-1], name, EXACT_SOLVE_TOL, symmetric=True)
 
     @property
     def levels(self) -> int:

@@ -78,6 +78,11 @@ def _csc(m):
     return m.T if same else csc
 
 
+# The contract of every exact solve: a refined SparseLU's normwise backward
+# error, or its relative residual with residual=True, is at most this.
+EXACT_SOLVE_TOL = 1e-12
+
+
 class SparseLU:
     """Cached sparse LU factorization (SuperLU) of a square scipy sparse
     matrix; calling it solves m x = r.

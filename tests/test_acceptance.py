@@ -106,8 +106,8 @@ def test_criterion_3_convergence_comparison(tmp_path):
     bdal, cg = records
     assert bdal.config_echo["kind"] == BDAL_LUMPED_EXACT
     iters = bdal.iterations_to_target
-    err_bdal_3 = bdal.rows[min(3, len(bdal.rows) - 1)].rel_param_error
-    err_cg_50 = cg.rows[min(50, len(cg.rows) - 1)].rel_param_error
+    err_bdal_3 = bdal.rel_param_error[min(3, len(bdal.rel_param_error) - 1)]
+    err_cg_50 = cg.rel_param_error[min(50, len(cg.rel_param_error) - 1)]
     ok = iters is not None and iters <= 30 and err_bdal_3 < err_cg_50
     _report(
         3,

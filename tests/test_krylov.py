@@ -87,21 +87,45 @@ def test_minres_exact_schur_preconditioner_clusters():
     assert np.linalg.norm(k @ report.solution - b) <= 1e-8 * np.linalg.norm(b)
 
 
-def test_minres_error_history_matches_recomputation():
+SOLVERS = pytest.mark.parametrize("solve", [minres, pcg], ids=["minres", "pcg"])
+
+
+@SOLVERS
+def test_error_history_matches_recomputation(solve):
+    # The per-iterate contract both solvers share: one history entry and
+    # one callback per iterate, k = 0 first, and each recorded error is
+    # the one of the iterate the callback saw.
     rng = np.random.default_rng(17)
     m = random_spd(8, rng)
     b = rng.standard_normal(8)
     ref = np.linalg.solve(m, b)
-    iterates = {}
-    report = minres(
-        op_from(m), identity, b, tol=1e-12, maxit=40,
-        reference=ref, callback=lambda k, x: iterates.__setitem__(k, x.copy()),
+    iterates = []
+    report = solve(
+        op_from(m), identity, b, tol=1e-12, maxit=40, reference=ref,
+        callback=lambda k, x: iterates.append((k, x.copy())),
     )
     assert report.error_history is not None
-    assert len(report.error_history) == report.iterations + 1
-    for k in range(report.iterations + 1):
-        expected = np.linalg.norm(ref - iterates[k]) / np.linalg.norm(ref)
+    assert len(report.residual_history) == len(report.error_history) == report.iterations + 1
+    assert [k for k, _ in iterates] == list(range(report.iterations + 1))
+    for k, x in iterates:
+        expected = np.linalg.norm(ref - x) / np.linalg.norm(ref)
         assert abs(report.error_history[k] - expected) <= 1e-14
+
+
+@SOLVERS
+def test_zero_rhs_returns_before_any_operator_apply(solve):
+    def never(x):
+        raise AssertionError("operator applied for a zero right-hand side")
+
+    seen = []
+    report = solve(never, identity, np.zeros(4), reference=np.ones(4),
+                   callback=lambda k, x: seen.append(k))
+    assert report.iterations == 0
+    assert report.converged
+    assert list(report.residual_history) == [0.0]
+    assert list(report.error_history) == [1.0]
+    assert seen == [0]
+    assert np.array_equal(report.solution, np.zeros(4))
 
 
 def test_minres_rejects_zero_reference():
@@ -110,10 +134,11 @@ def test_minres_rejects_zero_reference():
                np.ones(2), reference=np.zeros(2))
 
 
-def test_minres_rejects_indefinite_preconditioner():
+@SOLVERS
+def test_rejects_indefinite_preconditioner(solve):
     neg = op_from(-np.eye(3))
     with pytest.raises(PreconditionerNotSpdError):
-        minres(identity, neg, np.ones(3))
+        solve(identity, neg, np.ones(3))
 
 
 def test_pcg_diagonal():
