@@ -97,9 +97,7 @@ def _parse_value(name: str, raw: str):
             return float(raw)
         if name in ("seed", "maxit"):
             return int(raw)
-        if name in ("nx", "ny"):
-            return tuple(int(v) for v in raw.split(","))
-        if name == "n_obs":
+        if name in ("nx", "ny", "n_obs"):
             return tuple(int(v) for v in raw.split(","))
         if name == "snapshot_iters":
             return tuple(int(v) for v in raw.split(",")) if raw else ()

@@ -2,9 +2,15 @@
 convergence / mesh / sweep / theory studies with CSV and PGM artifacts.
 
 Reproducibility contract: every artifact is a deterministic function of
-(config, seed, observation file). Wall-clock timing is therefore opt-in
-(config key timing); with it off, the wall-s column is written as zero and
-reruns are byte-identical.
+(config, seed, observation file). Each study writes its observation file
+before any solve and solves with the points it wrote; the file's .17g text
+round-trips every float64, so a rerun from that file sees the same points
+bit for bit. Wall-clock timing is opt-in (config key timing); with it off,
+the wall-s column is written as zero and reruns are byte-identical.
+
+One path serves every instance of the convergence, mesh and sweep studies
+(_solve_instance: build the KKT system, solve the reference, run each
+solver), and one writer (_write_csv) formats every CSV.
 """
 
 from __future__ import annotations
@@ -105,16 +111,28 @@ class RunRecord:
     converged: bool = False
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _cell(value) -> str:
+    """One CSV cell: a float at 17 significant digits (lossless), a bool as
+    true/false, None as empty, anything else by str."""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _write_csv(path: str, header, rows) -> None:
+    lines = [",".join(map(_cell, row)) for row in [header, *rows]]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def write_run_csv(path: str, records: list[RunRecord]) -> None:
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        for k, row in enumerate(zip(rec.rel_param_error, rec.precond_residual, rec.wall_s)):
-            lines.append(f"{rec.run_id},{k}," + ",".join(map(_fmt, row)))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = [
+        (rec.run_id, k, *row)
+        for rec in records
+        for k, row in enumerate(zip(rec.rel_param_error, rec.precond_residual, rec.wall_s))
+    ]
+    _write_csv(path, CSV_COLUMNS, rows)
 
 
 def _first_below(errors: np.ndarray, target: float) -> int | None:
@@ -134,10 +152,10 @@ class _Stopwatch:
         self.marks.append(time.perf_counter() - self._start if self.enabled else 0.0)
 
 
-def _obs_source(cfg: ExperimentConfig, n_obs: int, out_dir: str) -> str:
-    """Write (or copy through) the observation file before any solve; return
-    its path. All solves re-read from disk."""
-    path = os.path.join(out_dir, f"observations-n{n_obs}.txt")
+def _observations(cfg: ExperimentConfig, n_obs: int, out_dir: str) -> ObservationSet:
+    """Write observations-n{n_obs}.txt (a copy of the configured file, its
+    count checked, or drawn from the seed) before any solve and return its
+    points; the file's text reads back to the same float64 bits."""
     if cfg.obs_file is not None:
         obs = read_observations(cfg.obs_file, cfg.lx, cfg.ly)
         if obs.n_obs != n_obs:
@@ -146,8 +164,8 @@ def _obs_source(cfg: ExperimentConfig, n_obs: int, out_dir: str) -> str:
             )
     else:
         obs = generate_observations(cfg.seed, n_obs, cfg.lx, cfg.ly)
-    write_observations(path, obs)
-    return path
+    write_observations(os.path.join(out_dir, f"observations-n{n_obs}.txt"), obs)
+    return obs
 
 
 def source_field(cfg: ExperimentConfig, mesh: TriMesh) -> NodalField:
@@ -156,24 +174,13 @@ def source_field(cfg: ExperimentConfig, mesh: TriMesh) -> NodalField:
     return interpolate_image(mesh, read_pgm(cfg.source), low=0.0, high=1.0)
 
 
-def _assemble_operators(cfg: ExperimentConfig, mesh: TriMesh, obs_path: str) -> ProblemOperators:
-    obs = read_observations(obs_path, cfg.lx, cfg.ly)
-    return assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)
-
-
 def _assemble_data(
-    cfg: ExperimentConfig, nx: int, ny: int, obs_path: str
+    cfg: ExperimentConfig, mesh: TriMesh, obs: ObservationSet
 ) -> tuple[ProblemOperators, np.ndarray]:
-    """Operators of one (mesh, observation file) pair and the synthetic data
+    """Operators of one (mesh, observation set) pair and the synthetic data
     y; neither depends on alpha."""
-    mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
-    ops = _assemble_operators(cfg, mesh, obs_path)
+    ops = assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)
     return ops, synthesize_data(ops, source_field(cfg, mesh).values)
-
-
-def _run_id(kind: str, nx: int, ny: int, alpha: float, n_obs: int) -> str:
-    solver = "cg-hess" if kind == REDUCED_REGULARIZATION else "minres"
-    return f"{solver}-{kind}-nx{nx}-ny{ny}-alpha{alpha:g}-obs{n_obs}"
 
 
 def solve_one(
@@ -181,19 +188,27 @@ def solve_one(
     sys: KktSystem,
     kind: str,
     q_ref: np.ndarray,
-    run_id: str,
-    snapshot_sink=None,
+    snapshot_dir: str | None = None,
 ) -> RunRecord:
     """Run MINRES+BDAL or CG on the reduced Hessian, tracking the relative
-    parameter error against the sparse direct reference solution."""
-    n = sys.n
+    parameter error against the sparse direct reference solution. With a
+    snapshot_dir, the parameter iterates at cfg.snapshot_iters are written
+    there as PGM."""
+    n, mesh = sys.n, sys.ops.mesh
+    solver = "cg-hess" if kind == REDUCED_REGULARIZATION else "minres"
+    run_id = f"{solver}-{kind}-nx{mesh.nx}-ny{mesh.ny}-alpha{sys.alpha:g}-obs{sys.y.size}"
     watch = _Stopwatch(cfg.timing)
-    snapshots = set(cfg.snapshot_iters) if snapshot_sink else set()
+    snapshots = set(cfg.snapshot_iters) if snapshot_dir is not None else set()
 
     def callback(k, x):
         watch.mark()
         if k in snapshots:
-            snapshot_sink(k, x[:n])
+            write_field_pgm(
+                os.path.join(snapshot_dir, f"{run_id}-iter{k:04d}.pgm"),
+                mesh,
+                x[:n],
+                comments=(f"parameter iterate at iteration {k}",),
+            )
 
     if kind in BDAL_KINDS:
         prec = build_preconditioner(sys, kind, rho=cfg.rho_for(sys.alpha))
@@ -231,62 +246,35 @@ def solve_one(
     )
 
 
+def _solve_instance(
+    cfg: ExperimentConfig,
+    ops: ProblemOperators,
+    y: np.ndarray,
+    alpha: float,
+    kinds: tuple[str, ...],
+    snapshot_dir: str | None = None,
+) -> list[RunRecord]:
+    """Every given solver on one (operators, data, alpha) instance. The
+    instance's system and reference die with this call."""
+    sys = build_kkt(ops, alpha, y)
+    q_ref = reference_solution(sys)[: sys.n]
+    return [solve_one(cfg, sys, kind, q_ref, snapshot_dir) for kind in kinds]
+
+
 def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> list[RunRecord]:
     """Error-vs-iteration comparison of the configured solvers on one
     instance (first entry of each list). Writes convergence.csv plus
     optional parameter-iterate snapshots as PGM."""
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    nx, ny, alpha, n_obs = cfg.nx[0], cfg.ny[0], cfg.alpha[0], cfg.n_obs[0]
-    obs_path = _obs_source(cfg, n_obs, out)
-    ops, y = _assemble_data(cfg, nx, ny, obs_path)
-    sys = build_kkt(ops, alpha, y)
-    q_ref = reference_solution(sys)[: sys.n]
-
-    records = []
-    for kind in cfg.preconditioners:
-        run_id = _run_id(kind, nx, ny, alpha, n_obs)
-
-        def sink(k, q_iter, run_id=run_id):
-            write_field_pgm(
-                os.path.join(out, f"{run_id}-iter{k:04d}.pgm"),
-                ops.mesh,
-                q_iter,
-                comments=(f"parameter iterate at iteration {k}",),
-            )
-
-        records.append(
-            solve_one(cfg, sys, kind, q_ref, run_id, snapshot_sink=sink if cfg.snapshot_iters else None)
-        )
+    mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
+    ops, y = _assemble_data(cfg, mesh, _observations(cfg, cfg.n_obs[0], out))
+    records = _solve_instance(cfg, ops, y, cfg.alpha[0], cfg.preconditioners, snapshot_dir=out)
     write_run_csv(os.path.join(out, "convergence.csv"), records)
     return records
 
 
-def _mesh_rung(cfg: ExperimentConfig, nx: int, ny: int, obs_path: str) -> tuple[list[RunRecord], list[dict]]:
-    """Every configured solver on one mesh of the study. The rung's
-    operators, system and reference die with this call, before the next
-    rung assembles its own."""
-    alpha, n_obs = cfg.alpha[0], cfg.n_obs[0]
-    ops, y = _assemble_data(cfg, nx, ny, obs_path)
-    sys = build_kkt(ops, alpha, y)
-    q_ref = reference_solution(sys)[: sys.n]
-    records, summary = [], []
-    for kind in cfg.preconditioners:
-        run_id = _run_id(kind, nx, ny, alpha, n_obs)
-        rec = solve_one(cfg, sys, kind, q_ref, run_id)
-        records.append(rec)
-        summary.append(
-            {
-                "run-id": run_id,
-                "nx": nx,
-                "ny": ny,
-                "h": ops.mesh.h,
-                "n-vertices": ops.mesh.n_vertices,
-                "iters-to-target": rec.iterations_to_target,
-                "converged": rec.converged,
-            }
-        )
-    return records, summary
+MESH_STUDY_COLUMNS = ("run-id", "nx", "ny", "h", "n-vertices", "iters-to-target", "converged")
 
 
 def run_mesh_study(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
@@ -297,34 +285,21 @@ def run_mesh_study(cfg: ExperimentConfig, out_dir: str | None = None) -> list[di
     os.makedirs(out, exist_ok=True)
     if len(cfg.nx) < 2:
         raise ValueError("mesh study wants at least two meshes in nx/ny")
-    obs_path = _obs_source(cfg, cfg.n_obs[0], out)
+    obs = _observations(cfg, cfg.n_obs[0], out)
 
     records = []
     summary = []
     for nx, ny in zip(cfg.nx, cfg.ny):
-        rung_records, rung_summary = _mesh_rung(cfg, nx, ny, obs_path)
-        records += rung_records
-        summary += rung_summary
-    lines = ["run-id,nx,ny,h,n-vertices,iters-to-target,converged"]
-    for row in summary:
-        iters = "" if row["iters-to-target"] is None else str(row["iters-to-target"])
-        lines.append(
-            f"{row['run-id']},{row['nx']},{row['ny']},{_fmt(row['h'])},"
-            f"{row['n-vertices']},{iters},{str(row['converged']).lower()}"
-        )
-    atomic_write_text(os.path.join(out, "mesh-study.csv"), "\n".join(lines) + "\n")
+        mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
+        ops, y = _assemble_data(cfg, mesh, obs)
+        for rec in _solve_instance(cfg, ops, y, cfg.alpha[0], cfg.preconditioners):
+            records.append(rec)
+            row = (rec.run_id, nx, ny, mesh.h, mesh.n_vertices, rec.iterations_to_target, rec.converged)
+            summary.append(dict(zip(MESH_STUDY_COLUMNS, row)))
+        del ops, y  # freed before the next rung assembles its own
+    _write_csv(os.path.join(out, "mesh-study.csv"), MESH_STUDY_COLUMNS, map(dict.values, summary))
     write_run_csv(os.path.join(out, "mesh-study-iterations.csv"), records)
     return summary
-
-
-def _sweep_cell(cfg: ExperimentConfig, ops: ProblemOperators, y: np.ndarray, kind: str, alpha: float) -> int:
-    """Iterations to target of one sweep instance, -1 if it was not
-    reached. The instance's system and reference die with this call."""
-    nx, ny, n_obs = ops.mesh.nx, ops.mesh.ny, y.size
-    sys = build_kkt(ops, alpha, y)
-    q_ref = reference_solution(sys)[: sys.n]
-    rec = solve_one(cfg, sys, kind, q_ref, _run_id(kind, nx, ny, alpha, n_obs))
-    return -1 if rec.iterations_to_target is None else rec.iterations_to_target
 
 
 def run_reg_data_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> np.ndarray:
@@ -333,27 +308,28 @@ def run_reg_data_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> np.
     reached. Writes sweep.csv; observation files are fixed per n_obs."""
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
-    nx, ny = cfg.nx[0], cfg.ny[0]
+    mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
     kind = cfg.preconditioners[0]
     matrix = np.full((len(cfg.alpha), len(cfg.n_obs)), -1, dtype=np.int64)
 
     for j, n_obs in enumerate(cfg.n_obs):
-        ops, y = _assemble_data(cfg, nx, ny, _obs_source(cfg, n_obs, out))
+        ops, y = _assemble_data(cfg, mesh, _observations(cfg, n_obs, out))
         for i, alpha in enumerate(cfg.alpha):
-            matrix[i, j] = _sweep_cell(cfg, ops, y, kind, alpha)
+            (rec,) = _solve_instance(cfg, ops, y, alpha, (kind,))
+            if rec.iterations_to_target is not None:
+                matrix[i, j] = rec.iterations_to_target
         del ops, y  # freed before the next observation count assembles its own
 
-    lines = ["alpha," + ",".join(str(n) for n in cfg.n_obs)]
-    for i, alpha in enumerate(cfg.alpha):
-        lines.append(_fmt(alpha) + "," + ",".join(str(int(v)) for v in matrix[i]))
-    atomic_write_text(os.path.join(out, "sweep.csv"), "\n".join(lines) + "\n")
+    rows = [(alpha, *matrix[i]) for i, alpha in enumerate(cfg.alpha)]
+    _write_csv(os.path.join(out, "sweep.csv"), ("alpha", *cfg.n_obs), rows)
     return matrix
 
 
-def _theory_row(job: tuple[ProblemOperators, int, int, int, float, float]) -> dict:
+def _theory_row(job: tuple[ProblemOperators, float, float]) -> dict:
     """Verify one (mesh, n_obs, alpha) instance; a violation is recorded in
     the row, not raised."""
-    ops, nx, ny, n_obs, alpha, rho = job
+    ops, alpha, rho = job
+    nx, ny, n_obs = ops.mesh.nx, ops.mesh.ny, ops.obs.n_obs
     sys = build_kkt(ops, alpha, np.zeros(n_obs))
     prec = build_preconditioner(sys, BDAL_EXACT, rho=rho)
     try:
@@ -378,37 +354,31 @@ def run_theory_verification(
     """verify_spectral_bounds on every (mesh, n_obs, alpha) instance.
 
     Returns (rows, all_ok). Rows carry the measured constants, extrema, and
-    bounds; a failed instance is recorded and the sweep continues. Operators
-    are assembled here once per (mesh, n_obs); the instances are verified
-    by parallel.map_in_order, in one forked worker per core when OpenBLAS
-    loaded with one thread, otherwise serially.
+    bounds; a failed instance is recorded and the sweep continues. Each
+    observation file is written once; operators are assembled here once per
+    (mesh, n_obs); the instances are verified by parallel.map_in_order, in
+    one forked worker per core when OpenBLAS loaded with one thread,
+    otherwise serially.
     """
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
+    obs_sets = [_observations(cfg, n_obs, out) for n_obs in cfg.n_obs]
     jobs = []
     for nx, ny in zip(cfg.nx, cfg.ny):
         mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
-        for n_obs in cfg.n_obs:
-            ops = _assemble_operators(cfg, mesh, _obs_source(cfg, n_obs, out))
+        for obs in obs_sets:
+            ops = assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)
             ops.btb  # formed here, once: the pickled operators carry it to every alpha's job
-            jobs += [(ops, nx, ny, n_obs, alpha, cfg.rho_for(alpha)) for alpha in cfg.alpha]
+            jobs += [(ops, alpha, cfg.rho_for(alpha)) for alpha in cfg.alpha]
     rows = map_in_order(_theory_row, jobs)
     measured = [f.name.replace("_", "-") for f in fields(ConditionReport)]
-    lines = [",".join(["run-id", "nx", "ny", "n-obs", "alpha", "rho", *measured, "pass"])]
-    for row in rows:
-        lines.append(
-            ",".join(
-                [
-                    row["run-id"],
-                    str(row["nx"]),
-                    str(row["ny"]),
-                    str(row["n-obs"]),
-                    _fmt(row["alpha"]),
-                    _fmt(row["rho"]),
-                    *map(_fmt, astuple(row["report"])),
-                    str(row["pass"]).lower(),
-                ]
-            )
-        )
-    atomic_write_text(os.path.join(out, "theory.csv"), "\n".join(lines) + "\n")
+    _write_csv(
+        os.path.join(out, "theory.csv"),
+        ["run-id", "nx", "ny", "n-obs", "alpha", "rho", *measured, "pass"],
+        [
+            (row["run-id"], row["nx"], row["ny"], row["n-obs"], row["alpha"], row["rho"],
+             *astuple(row["report"]), row["pass"])
+            for row in rows
+        ],
+    )
     return rows, all(row["pass"] for row in rows)

@@ -138,8 +138,6 @@ class ProblemOperators:
     reg: sp.csr_matrix  # R*R = Neumann stiffness + t * mass, SPD
     observation: sp.csr_matrix
     obs: ObservationSet
-    t: float
-    gamma0: float
 
     @property
     def n(self) -> int:
@@ -180,8 +178,6 @@ def assemble_problem(
         reg=assemble_regularization(mesh, t=t),
         observation=assemble_observation(mesh, obs),
         obs=obs,
-        t=t,
-        gamma0=gamma0,
     )
 
 

@@ -12,7 +12,7 @@ from helpers import splitmix64_reference
 from kktprec import harness, kkt, parallel
 from kktprec.cli import EXIT_ERROR, EXIT_THEORY_VIOLATION, main
 from kktprec.config import ExperimentConfig, load_config
-from kktprec.formats import read_pgm, write_observations
+from kktprec.formats import read_observations, read_pgm, write_observations
 from kktprec.harness import (
     CSV_COLUMNS,
     generate_observations,
@@ -527,14 +527,85 @@ def test_sweep_assembles_once_per_obs_count(tmp_path, monkeypatch):
     assert len(calls) == 3  # one per n_obs, shared by the four alphas
 
 
+def _capture_points(monkeypatch):
+    seen = []
+    real = harness.assemble_problem
+
+    def capturing(mesh, obs, **kwargs):
+        seen.append(obs.points)
+        return real(mesh, obs, **kwargs)
+
+    monkeypatch.setattr(harness, "assemble_problem", capturing)
+    return seen
+
+
+@pytest.mark.parametrize("run, n_obs", [(run_mesh_study, (10,)), (run_reg_data_sweep, (5, 9))])
+def test_solves_use_the_written_observation_points(tmp_path, monkeypatch, run, n_obs):
+    seen = _capture_points(monkeypatch)
+    cfg = ExperimentConfig(
+        nx=(4, 8),
+        ny=(3, 6),
+        alpha=(1e-2,),
+        n_obs=n_obs,
+        seed=5,
+        preconditioners=("bdal-lumped-exact",),
+        maxit=50,
+        out_dir=str(tmp_path),
+    )
+    run(cfg)
+    assert len(seen) == 2  # two mesh rungs, or two observation counts
+    for points in seen:
+        path = tmp_path / f"observations-n{len(points)}.txt"
+        assert np.array_equal(points, read_observations(str(path), cfg.lx, cfg.ly).points)
+
+
+def test_theory_writes_each_observation_file_once(tmp_path, monkeypatch):
+    written = []
+    real = harness.write_observations
+
+    def recording(path, obs):
+        written.append(os.path.basename(path))
+        real(path, obs)
+
+    monkeypatch.setattr(harness, "write_observations", recording)
+    rows, _ = run_theory_verification(_theory_grid(tmp_path))
+    assert len(rows) == 8  # 2 meshes x 2 n_obs x 2 alpha
+    assert sorted(written) == ["observations-n4.txt", "observations-n7.txt"]
+
+
 # ------------------------------------------------------------------ golden
 
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+_THEORY_EXACT_COLUMNS = {"run-id", "nx", "ny", "n-obs", "alpha", "rho", "pass"}
+
+
+def _assert_theory_csv_close(got: bytes, want: bytes) -> None:
+    # The measured columns come from dense LAPACK eigensolves, whose last
+    # digits may differ between machines; every other column is exact.
+    got_rows = [line.split(",") for line in got.decode().splitlines()]
+    want_rows = [line.split(",") for line in want.decode().splitlines()]
+    header = want_rows[0]
+    assert got_rows[0] == header
+    assert len(got_rows) == len(want_rows)
+    for g, w in zip(got_rows[1:], want_rows[1:]):
+        assert len(g) == len(header)
+        for column, a, b in zip(header, g, w):
+            if column in _THEORY_EXACT_COLUMNS:
+                assert a == b, (w[0], column)
+            else:
+                assert float(a) == pytest.approx(float(b), rel=1e-9, abs=0.0), (w[0], column)
+
+
 @pytest.mark.parametrize(
     "command, config",
-    [("mesh-study", "mesh-study.cfg"), ("convergence", "benchmark.cfg"), ("sweep", "sweep.cfg")],
+    [
+        ("mesh-study", "mesh-study.cfg"),
+        ("convergence", "benchmark.cfg"),
+        ("sweep", "sweep.cfg"),
+        ("verify-theory", "theory.cfg"),
+    ],
 )
 def test_checked_in_results_reproduced(tmp_path, capsys, command, config):
     # Rerun-against-rerun identity cannot see a change that shifts every
@@ -546,4 +617,8 @@ def test_checked_in_results_reproduced(tmp_path, capsys, command, config):
     assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
     for name in os.listdir(golden):
         with open(os.path.join(golden, name), "rb") as f:
-            assert (tmp_path / name).read_bytes() == f.read(), f"{golden}/{name} differs"
+            want = f.read()
+        if name == "theory.csv":
+            _assert_theory_csv_close((tmp_path / name).read_bytes(), want)
+        else:
+            assert (tmp_path / name).read_bytes() == want, f"{golden}/{name} differs"
