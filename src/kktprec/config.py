@@ -65,6 +65,8 @@ class ExperimentConfig:
             raise ConfigError("inner_tol must lie in (0, 1)")
         if self.maxit < 1:
             raise ConfigError("maxit must be >= 1")
+        if any(k < 0 for k in self.snapshot_iters):
+            raise ConfigError("snapshot iterations must be >= 0")
         if not (0.0 < self.target_error < 1.0):
             raise ConfigError("target_error must lie in (0, 1)")
         if self.reg_shift <= 0:

@@ -38,10 +38,10 @@ CG, its only reader; synthesize_data factors A in an LU of its own that
 it frees on return). Only the spectral verifier densifies, one n x n
 block of KktSystem.matrix at a time.
 
-Every LU except those of A and R*R runs in SuperLU's symmetric mode (one
-ordering for rows and columns, diagonal pivots). The saddle-point systems
-are put in matched-pair order, rows and columns permuted so that every
-diagonal block is SPD (Benzi, Golub, Liesen, Acta Numerica 14, 2005): the
+Every LU runs in SuperLU's symmetric mode (one ordering for rows and
+columns, diagonal pivots). The saddle-point systems are put in
+matched-pair order, rows and columns permuted so that every diagonal
+block is SPD (Benzi, Golub, Liesen, Acta Numerica 14, 2005): the
 reference factors
 
     [ A     0     -W       ] [ u  ]   [ 0    ]
@@ -52,11 +52,9 @@ with the unknowns (u, eta, q) of each vertex interleaved, vertex by vertex
 in the geometric nested-dissection order of mesh.nested_dissection_order
 (George, SIAM J. Numer. Anal. 10, 1973), and factors it in that order.
 bdal-exact's augmented P2 system interleaves its (z, mu) the same way.
-Every other symmetric-mode LU orders by minimum degree on m^T + m: the
-lumped block 2 couples vertices two apart, which one-line separators do
-not split, and the coarsest multigrid levels are too small to gain. The
-LUs of A and R*R keep COLAMD: they drive the reduced-Hessian CG, whose
-iteration counts follow the rounding of its operator.
+Every other LU orders by minimum degree on m^T + m: the lumped block 2
+couples vertices two apart, which one-line separators do not split, and
+the coarsest multigrid levels are too small to gain.
 
 Each matrix SuperLU factors exists once while it is factored. Both
 permuted systems go from their blocks' entries straight into CSC, the
@@ -112,9 +110,6 @@ class NonpositiveDiagonalError(ValueError):
 
 def _forward_lu(a: sp.csr_matrix) -> SparseLU:
     """LU of the forward operator A, refined to the true residual."""
-    # COLAMD, not symmetric mode: this LU drives the reduced-Hessian CG,
-    # which amplifies rounding, and a symmetric-mode LU moved cg-hess
-    # iterations-to-target on the ladder by up to 4.
     return SparseLU(a, "forward", EXACT_SOLVE_TOL, residual=True)
 
 
@@ -305,7 +300,7 @@ def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
     cols = (vertex + [n, 2 * n, 0]).ravel()
     matched = _permuted_csc(sys.blocks(), rows, cols)
     z = np.empty(sys.dim)
-    z[cols] = SparseLU(matched, "KKT", tol, symmetric=True, ordered=True)(sys.rhs[rows])
+    z[cols] = SparseLU(matched, "KKT", tol, ordered=True)(sys.rhs[rows])
     return z
 
 
@@ -331,8 +326,8 @@ def build_preconditioner(
     """Build a BDAL preconditioner for the KKT system.
 
     rho defaults to sqrt(alpha). Exact kinds solve their blocks with cached
-    symmetric-mode sparse LUs refined to backward error 1e-12. The
-    non-lumped kind applies P2^-1 through one LU of the 2n augmented system
+    sparse LUs refined to backward error 1e-12. The non-lumped kind
+    applies P2^-1 through one LU of the 2n augmented system
     [[A, -W/rho], [BtB, A]] [z; mu] = [0; r], row-swapped so that both
     diagonal blocks are A and with (z, mu) interleaved per vertex in
     nested-dissection order, and factors on first apply, so a singular
@@ -376,9 +371,9 @@ def build_preconditioner(
             augmented = _permuted_csc([[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]], pairs, pairs)
             return (
                 order,
-                SparseLU(block1, "block 1", EXACT_SOLVE_TOL, symmetric=True),
-                SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL, symmetric=True),
-                SparseLU(augmented, "block 2", EXACT_SOLVE_TOL, symmetric=True, ordered=True),
+                SparseLU(block1, "block 1", EXACT_SOLVE_TOL),
+                SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL),
+                SparseLU(augmented, "block 2", EXACT_SOLVE_TOL, ordered=True),
             )
 
         def solve2(r: np.ndarray) -> np.ndarray:
@@ -397,8 +392,8 @@ def build_preconditioner(
         block1 = sys.alpha * sys.reg + rho * sp.diags(w_diag)
         block2 = sys.btb + rho * sys.ops.at_lumped_inv_a
         if kind == BDAL_LUMPED_EXACT:
-            solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL, symmetric=True)
-            solve2 = SparseLU(block2, "block 2", EXACT_SOLVE_TOL, symmetric=True)
+            solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL)
+            solve2 = SparseLU(block2, "block 2", EXACT_SOLVE_TOL)
         else:
             mesh = sys.ops.mesh
             solve1 = Cycle(block1, mesh.nx, mesh.ny, 1, "block 1")
@@ -441,8 +436,6 @@ class ReducedHessianOperator:
     @cached_property
     def reg_solver(self) -> SparseLU:
         """LU of R*R, factored on first use, refined to backward error 1e-12."""
-        # COLAMD for the same reason as _forward_lu: this LU preconditions
-        # the baseline CG, whose counts follow its rounding.
         return SparseLU(self.reg, "R*R", EXACT_SOLVE_TOL)
 
     def apply(self, q: np.ndarray) -> np.ndarray:

@@ -5,8 +5,7 @@ unions of the fine ones (both split along the up-right diagonal), so
 every coarse P1 function is a fine P1 function. Prolongation is coarse
 P1 interpolation at the fine vertices, restriction its transpose, and
 coarse operators are Galerkin products P^T A P. A hierarchy halves while
-both cell counts are even; its coarsest level is solved by a symmetric-mode
-sparse LU.
+both cell counts are even; its coarsest level is solved by a sparse LU.
 
 Smoothing is degree-2 Chebyshev in D^-1 A on [lam/10, lam], lam the
 Gershgorin bound on lambda_max(D^-1 A). The same polynomial before and
@@ -56,7 +55,7 @@ class Cycle:
             self.prolongations.append(p)
             self.restrictions.append(p.T.tocsr())  # p.T would build a new matrix per call
         self.smoothers = [(1.0 / m.diagonal(), gershgorin_bound(m)) for m in self.matrices[:-1]]
-        self.coarse = SparseLU(self.matrices[-1], name, EXACT_SOLVE_TOL, symmetric=True)
+        self.coarse = SparseLU(self.matrices[-1], name, EXACT_SOLVE_TOL)
 
     @property
     def levels(self) -> int:

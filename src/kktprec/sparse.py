@@ -66,18 +66,6 @@ def refine(
 SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-def _csc(m):
-    """m in CSC: m itself if it is CSC, the view m.T if m is CSR and exactly
-    symmetric (same pattern, same values), otherwise a copy."""
-    if m.format == "csc":
-        return m
-    csc = m.tocsc()
-    same = m.format == "csr" and all(
-        np.array_equal(getattr(csc, k), getattr(m, k)) for k in ("indptr", "indices", "data")
-    )
-    return m.T if same else csc
-
-
 # The contract of every exact solve: a refined SparseLU's normwise backward
 # error, or its relative residual with residual=True, is at most this.
 EXACT_SOLVE_TOL = 1e-12
@@ -87,9 +75,9 @@ class SparseLU:
     """Cached sparse LU factorization (SuperLU) of a square scipy sparse
     matrix; calling it solves m x = r.
 
-    By default SuperLU orders columns by COLAMD and pivots partially. With
-    symmetric=True it orders by minimum degree on the pattern of m^T + m
-    and pivots on the diagonal, off it only where the diagonal entry is
+    Every factorization runs in SuperLU's symmetric mode: one minimum
+    degree ordering on the pattern of m^T + m for rows and columns alike,
+    and diagonal pivots, off the diagonal only where the diagonal entry is
     exactly zero (Amestoy, Davis, Duff, SIAM J. Matrix Anal. Appl. 17,
     1996). That keeps the symmetric fill pattern and suits matrices whose
     diagonal blocks are SPD; callers order saddle-point systems that way.
@@ -97,37 +85,31 @@ class SparseLU:
     m's order (permc_spec "NATURAL"): callers that pass it have already
     permuted m into a fill-reducing order, such as nested dissection.
 
-    SuperLU takes CSC. A CSC m is factored as it is. A CSR m that is
-    exactly symmetric, checked entry for entry against a CSC copy that is
-    dropped before SuperLU starts, is factored through m.T, a CSC view of
-    m's own arrays that equals m; any other m through that copy. So m,
-    kept in its own format as ``matrix`` for refinement, is the only copy
-    of itself while SuperLU runs, unless it is a nonsymmetric CSR matrix.
-    symmetric=True selects the pivoting; it does not say m is symmetric.
+    m is CSC or CSR, and SuperLU takes CSC. A CSC m is factored as it is.
+    A CSR m must be exactly symmetric: it is factored through m.T, the CSC
+    view of m's own arrays, which then equals m. So m, kept in its own
+    format as ``matrix`` for refinement, is the only copy of itself while
+    SuperLU runs.
 
-    Every solve is refined against m, whatever the ordering and pivoting,
-    so a tiny pivot either refines to the contract or raises
-    RefinementError. By default refinement stops on the normwise backward
-    error ||m x - r|| / (||m||_F ||x|| + ||r||) <= tol. With residual=True
-    it stops on the true relative residual ||m x - r|| <= tol * ||r||
-    instead. name labels the matrix in SingularMatrixError and
-    RefinementError messages.
+    Every solve is refined against m, so a tiny pivot either refines to
+    the contract or raises RefinementError, and so does a CSR m that
+    breaks the symmetry contract. By default refinement stops on the
+    normwise backward error ||m x - r|| / (||m||_F ||x|| + ||r||) <= tol.
+    With residual=True it stops on the true relative residual
+    ||m x - r|| <= tol * ||r|| instead. name labels the matrix in
+    SingularMatrixError and RefinementError messages.
     """
 
-    def __init__(
-        self, m, name: str, tol: float, residual: bool = False, symmetric: bool = False, ordered: bool = False
-    ):
+    def __init__(self, m, name: str, tol: float, residual: bool = False, ordered: bool = False):
         import scipy.sparse.linalg as spla
 
         self.name = name
         self.matrix = m
         self._tol = tol
         self._norm = 0.0 if residual else float(spla.norm(m))
-        options = dict(SYMMETRIC_MODE) if symmetric else {}
-        if ordered:
-            options["permc_spec"] = "NATURAL"
+        options = dict(SYMMETRIC_MODE, permc_spec="NATURAL") if ordered else SYMMETRIC_MODE
         try:
-            self._lu = spla.splu(_csc(m), **options)
+            self._lu = spla.splu(m if m.format == "csc" else m.T, **options)
         except RuntimeError as exc:
             if "singular" not in str(exc):  # SuperLU: "Factor is exactly singular"
                 raise

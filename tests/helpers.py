@@ -22,15 +22,18 @@ MASK64 = (1 << 64) - 1
 
 class Factors(list):
     """SuperLU factors in the order they were made; inputs[k] is the
-    matrix that factors[k] was made from."""
+    matrix that factors[k] was made from, and kwargs[k] the keyword
+    arguments splu got with it."""
 
     def __init__(self):
         super().__init__()
         self.inputs = []
+        self.kwargs = []
 
     def clear(self):
         super().clear()
         self.inputs.clear()
+        self.kwargs.clear()
 
 
 def record_factors(monkeypatch):
@@ -44,6 +47,7 @@ def record_factors(monkeypatch):
     def recording_splu(m, *args, **kwargs):
         made.append(splu(m, *args, **kwargs))
         made.inputs.append(m)
+        made.kwargs.append(kwargs)
         return made[-1]
 
     monkeypatch.setattr(spla, "splu", recording_splu)

@@ -75,6 +75,8 @@ def test_validation_errors():
         ExperimentConfig(preconditioners=("bdal-extra",))
     with pytest.raises(ConfigError):
         ExperimentConfig(rho=-0.5)
+    with pytest.raises(ConfigError, match="snapshot iterations"):
+        load_config(None, overrides=["snapshot_iters = -3"])
 
 
 def test_load_config_file_and_overrides(tmp_path):

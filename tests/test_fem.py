@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from kktprec import (
@@ -13,6 +14,7 @@ from kktprec import (
     lump_mass,
 )
 from kktprec.fem import (
+    NonpositiveLumpedMassError,
     _barycentric_rows,
     assemble_stiffness_neumann,
     p1_gradients,
@@ -92,6 +94,11 @@ def test_lump_corner_entries():
 def test_lump_equals_row_sums():
     w = assemble_mass(build_mesh(1.45, 1.0, 4, 3))
     assert np.allclose(lump_mass(w), w.toarray().sum(axis=1), atol=1e-15)
+
+
+def test_lump_rejects_nonpositive_row_sum():
+    with pytest.raises(NonpositiveLumpedMassError):
+        lump_mass(sp.csr_matrix([[1.0, -2.0], [-2.0, 1.0]]))
 
 
 # --- Nitsche stiffness -------------------------------------------------------

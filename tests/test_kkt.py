@@ -30,7 +30,7 @@ from kktprec import (
 from kktprec import kkt
 from kktprec.config import ExperimentConfig
 from kktprec.formats import write_observations
-from kktprec.harness import run_mesh_study
+from kktprec.harness import run_mesh_study, solve_one
 from kktprec.kkt import (
     BDAL_KINDS,
     DimensionMismatchError,
@@ -313,12 +313,27 @@ def test_reference_factor_is_nested_dissection_sized(factors):
 @pytest.mark.parametrize("alpha", [1e-2, 1e-6])
 @pytest.mark.parametrize("shape", [(20, 14), (29, 20)])
 def test_reference_solution_matches_colamd_lu(shape, alpha):
+    # scipy's own SuperLU solve: COLAMD with partial pivoting on K as assembled
     nx, ny = shape
     sys = make_instance(nx=nx, ny=ny, n_obs=200, alpha=alpha)
     n = sys.n
     q = reference_solution(sys)[:n]
-    q_colamd = SparseLU(sys.matrix, "KKT", 1e-10)(sys.rhs)[:n]
+    q_colamd = spsolve(sys.matrix.tocsc(), sys.rhs, permc_spec="COLAMD", use_umfpack=False)[:n]
     assert np.linalg.norm(q - q_colamd) <= 1e-9 * np.linalg.norm(q_colamd)
+
+
+def test_every_factorization_runs_in_symmetric_mode(factors):
+    cfg = ExperimentConfig(maxit=3)
+    sys = make_instance(nx=29, ny=20, n_obs=200, alpha=1e-6)  # synthesize_data factors A
+    q_ref = reference_solution(sys)[: sys.n]
+    for kind in BDAL_KINDS + (REDUCED_REGULARIZATION,):
+        solve_one(cfg, sys, kind, q_ref)
+    # synthesis's A; the reference; bdal-exact's block 1, mass and P2
+    # system; two lumped blocks; two coarse levels; A for the CG; R*R
+    assert len(factors.kwargs) == 11
+    for kwargs in factors.kwargs:
+        assert kwargs["options"] == {"SymmetricMode": True}
+        assert kwargs["diag_pivot_thresh"] == 0.0
 
 
 def test_each_factored_matrix_exists_once(factors, monkeypatch):

@@ -103,13 +103,12 @@ def test_sparse_lu_solves_and_refines():
     rng = np.random.default_rng(31)
     dense = rng.standard_normal((12, 12)) + 12.0 * np.eye(12)
     dense[np.abs(dense) < 0.8] = 0.0
-    m = sp.csr_matrix(dense)
+    m = sp.csc_matrix(dense)
     b = rng.standard_normal(12)
-    for symmetric in (False, True):
-        for residual in (False, True):
-            x = SparseLU(m, "test", 1e-12, residual=residual, symmetric=symmetric)(b)
-            assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
-        assert np.all(SparseLU(m, "test", 1e-12, symmetric=symmetric)(np.zeros(12)) == 0.0)
+    for residual in (False, True):
+        x = SparseLU(m, "test", 1e-12, residual=residual)(b)
+        assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.all(SparseLU(m, "test", 1e-12)(np.zeros(12)) == 0.0)
 
 
 def test_sparse_lu_ordered_keeps_the_given_order(factors):
@@ -117,28 +116,37 @@ def test_sparse_lu_ordered_keeps_the_given_order(factors):
     dense = np.diag(np.full(10, 4.0)) + np.diag(np.full(9, -1.0), 1) + np.diag(np.full(9, -1.0), -1)
     dense[0, 9] = dense[9, 0] = -1.0
     b = rng.standard_normal(10)
-    for symmetric in (False, True):
-        x = SparseLU(sp.csr_matrix(dense), "test", 1e-12, symmetric=symmetric, ordered=True)(b)
-        norm = np.linalg.norm
-        assert norm(dense @ x - b) <= 1e-12 * (norm(dense) * norm(x) + norm(b))
-        assert np.array_equal(factors[-1].perm_c, np.arange(10))
+    x = SparseLU(sp.csr_matrix(dense), "test", 1e-12, ordered=True)(b)
+    norm = np.linalg.norm
+    assert norm(dense @ x - b) <= 1e-12 * (norm(dense) * norm(x) + norm(b))
+    assert np.array_equal(factors[-1].perm_c, np.arange(10))
     assert np.array_equal(factors[-1].perm_r, np.arange(10))  # diagonal pivots
 
 
 def test_sparse_lu_singular_names_matrix():
     m = sp.diags([1.0, 0.0, 2.0], format="csr")
-    for symmetric in (False, True):
-        with pytest.raises(SingularMatrixError, match="block 2 matrix"):
-            SparseLU(m, "block 2", 1e-12, symmetric=symmetric)
+    with pytest.raises(SingularMatrixError, match="block 2 matrix"):
+        SparseLU(m, "block 2", 1e-12)
 
 
 def test_sparse_lu_stalled_refinement_reports_error():
     rng = np.random.default_rng(32)
-    m = sp.csr_matrix(rng.standard_normal((8, 8)) + 8.0 * np.eye(8))
-    for symmetric in (False, True):
-        solver = SparseLU(m, "forward", 1e-30, residual=True, symmetric=symmetric)
-        with pytest.raises(RefinementError, match=r"forward solve: .*relative residual \d"):
-            solver(rng.standard_normal(8))
+    m = sp.csc_matrix(rng.standard_normal((8, 8)) + 8.0 * np.eye(8))
+    solver = SparseLU(m, "forward", 1e-30, residual=True)
+    with pytest.raises(RefinementError, match=r"forward solve: .*relative residual \d"):
+        solver(rng.standard_normal(8))
+
+
+def test_sparse_lu_refinement_catches_nonsymmetric_csr():
+    # A CSR matrix is factored through its transpose view, so a
+    # nonsymmetric one factors the wrong matrix; refinement against m
+    # then stalls here instead of returning a wrong solution.
+    m = sp.csr_matrix([[1.0, 4.0], [0.0, 1.0]])
+    for residual in (False, True):
+        for ordered in (False, True):
+            solver = SparseLU(m, "probe", 1e-12, residual=residual, ordered=ordered)
+            with pytest.raises(RefinementError, match="probe solve: refinement stalled"):
+                solver(np.array([1.0, 2.0]))
 
 
 TINY_PIVOT = {
@@ -149,13 +157,12 @@ TINY_PIVOT = {
 }
 
 
-@pytest.mark.parametrize("symmetric", [False, True])
 @pytest.mark.parametrize("case", sorted(TINY_PIVOT))
-def test_sparse_lu_tiny_pivot_refines_or_raises(case, symmetric):
+def test_sparse_lu_tiny_pivot_refines_or_raises(case):
     dense = np.array(TINY_PIVOT[case])
     rng = np.random.default_rng(33)
     for residual in (False, True):
-        solver = SparseLU(sp.csr_matrix(dense), "tiny", 1e-12, residual=residual, symmetric=symmetric)
+        solver = SparseLU(sp.csr_matrix(dense), "tiny", 1e-12, residual=residual)
         for _ in range(5):
             b = rng.standard_normal(dense.shape[0])
             try:
