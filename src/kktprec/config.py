@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 from .kkt import PRECONDITIONER_KINDS
 
 
@@ -44,6 +46,10 @@ class ExperimentConfig:
     obs_file: str | None = None
 
     def __post_init__(self):
+        for name in ("lx", "ly", "alpha", "rho", "reg_shift", "nitsche_gamma"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(value)):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if not (self.lx > 0 and self.ly > 0):
             raise ConfigError("domain extents must be positive")
         for name in ("nx", "ny", "alpha", "n_obs", "preconditioners"):
@@ -67,6 +73,9 @@ class ExperimentConfig:
             raise ConfigError("maxit must be >= 1")
         if any(k < 0 for k in self.snapshot_iters):
             raise ConfigError("snapshot iterations must be >= 0")
+        for k in self.snapshot_iters:
+            if k > self.maxit:
+                raise ConfigError(f"snapshot_iters entry {k} exceeds maxit = {self.maxit}")
         if not (0.0 < self.target_error < 1.0):
             raise ConfigError("target_error must lie in (0, 1)")
         if self.reg_shift <= 0:

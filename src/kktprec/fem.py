@@ -4,6 +4,10 @@ Operators provided: mass matrix, lumped mass, Poisson stiffness with
 homogeneous Dirichlet conditions imposed weakly by the symmetric Nitsche
 method, a Neumann-Laplacian-plus-shift regularization operator, pointwise
 observation matrices, and image-to-field interpolation.
+
+One scatter (`_assemble`) builds every FEM matrix from groups of (triangle
+rows, 3x3 element matrix): two parity groups for the volume terms, as the
+mesh has two triangle shapes, and one group per wall for the Nitsche terms.
 """
 
 from __future__ import annotations
@@ -26,23 +30,24 @@ def p1_mass_element(area: float) -> np.ndarray:
     return (area / 12.0) * np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]])
 
 
-def p1_stiffness_element(xy: np.ndarray) -> np.ndarray:
-    """Element stiffness matrix from a 3x2 array of vertex coordinates."""
+def _p1_geometry(xy: np.ndarray):
+    """(b, c, signed 2*area) of a triangle; hat gradient i is (b_i, c_i) / (2*area)."""
     x = xy[:, 0]
     y = xy[:, 1]
     b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
     c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area2 = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]  # = 2*area, signed
+    return b, c, x[0] * b[0] + x[1] * b[1] + x[2] * b[2]
+
+
+def p1_stiffness_element(xy: np.ndarray) -> np.ndarray:
+    """Element stiffness matrix from a 3x2 array of vertex coordinates."""
+    b, c, area2 = _p1_geometry(xy)
     return (np.outer(b, b) + np.outer(c, c)) / (2.0 * area2)
 
 
 def p1_gradients(xy: np.ndarray) -> np.ndarray:
     """Constant gradients of the three hat functions, rows grad(phi_i)."""
-    x = xy[:, 0]
-    y = xy[:, 1]
-    b = np.array([y[1] - y[2], y[2] - y[0], y[0] - y[1]])
-    c = np.array([x[2] - x[1], x[0] - x[2], x[1] - x[0]])
-    area2 = x[0] * b[0] + x[1] * b[1] + x[2] * b[2]
+    b, c, area2 = _p1_geometry(xy)
     return np.column_stack([b, c]) / area2
 
 
@@ -51,41 +56,33 @@ def _from_coo(shape, rows, cols, vals) -> sp.csr_matrix:
     return sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=np.float64).tocsr()
 
 
-def _symmetrized(m: sp.csr_matrix) -> sp.csr_matrix:
+def _assemble(mesh: TriMesh, groups) -> sp.csr_matrix:
+    """Scatter (triangle rows, 3x3 element matrix) groups into one n x n
+    matrix and symmetrize it. Triplets run group by group, then entry (i, j)
+    of the element in row-major order, then triangle."""
+    i, j = np.divmod(np.arange(9), 3)
+    tris = [mesh.triangles[rows] for rows, _ in groups]
+    m = _from_coo(
+        (mesh.n_vertices, mesh.n_vertices),
+        np.concatenate([t.T[i].ravel() for t in tris]),
+        np.concatenate([t.T[j].ravel() for t in tris]),
+        np.concatenate([np.repeat(ke.ravel(), t.shape[0]) for t, (_, ke) in zip(tris, groups)]),
+    )
     return (m + m.T) * 0.5
 
 
-def _assemble_from_elements(mesh: TriMesh, element_for_parity) -> sp.csr_matrix:
-    """Scatter per-parity element matrices; the structured mesh has only two
-    distinct triangle geometries (even/odd index), so one 3x3 matrix each."""
-    n = mesh.n_vertices
-    rows = []
-    cols = []
-    vals = []
-    for parity in (0, 1):
-        tris = mesh.triangles[parity::2]
-        ke = element_for_parity(parity)
-        for i in range(3):
-            for j in range(3):
-                rows.append(tris[:, i])
-                cols.append(tris[:, j])
-                vals.append(np.full(tris.shape[0], ke[i, j]))
-    return _from_coo((n, n), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-
-
-def _parity_coords(mesh: TriMesh, parity: int) -> np.ndarray:
-    tri = mesh.triangles[parity]
-    return mesh.vertices[tri]
+def _volume_groups(mesh: TriMesh, element_for_xy):
+    """One group per parity: the even and odd triangle rows each share one shape."""
+    return [
+        (slice(parity, None, 2), element_for_xy(mesh.vertices[mesh.triangles[parity]]))
+        for parity in (0, 1)
+    ]
 
 
 def assemble_mass(mesh: TriMesh) -> sp.csr_matrix:
     """P1 mass matrix (exact integration)."""
     area = 0.5 * mesh.dx * mesh.dy
-
-    def element(_parity):
-        return p1_mass_element(area)
-
-    return _symmetrized(_assemble_from_elements(mesh, element))
+    return _assemble(mesh, _volume_groups(mesh, lambda _xy: p1_mass_element(area)))
 
 
 def lump_mass(w: sp.csr_matrix) -> np.ndarray:
@@ -98,33 +95,21 @@ def lump_mass(w: sp.csr_matrix) -> np.ndarray:
 
 def assemble_stiffness_neumann(mesh: TriMesh) -> sp.csr_matrix:
     """Pure stiffness matrix, no boundary terms (natural conditions)."""
-
-    def element(parity):
-        return p1_stiffness_element(_parity_coords(mesh, parity))
-
-    return _symmetrized(_assemble_from_elements(mesh, element))
+    return _assemble(mesh, _volume_groups(mesh, p1_stiffness_element))
 
 
-def _boundary_edges(mesh: TriMesh):
-    """Yield (edge vertex a, edge vertex b, triangle row index, outward normal, h_e)
-    arrays for each of the four sides."""
+def _sides(mesh: TriMesh):
+    """Per wall: its boundary triangles' rows, s marking their local vertices
+    on the wall, the outward normal and h_e. The bottom row and right column
+    contribute lower-right triangles, the top row and left column upper-left."""
     nx, ny = mesh.nx, mesh.ny
-    nxy = nx + 1
-
-    ix = np.arange(nx)
-    iy = np.arange(ny)
-
-    # bottom: lower-right triangle of cells (ix, 0)
-    yield ix, ix + 1, 2 * ix, np.array([0.0, -1.0]), mesh.dx
-    # top: upper-left triangle of cells (ix, ny-1)
-    top0 = ny * nxy + ix
-    yield top0, top0 + 1, 2 * ((ny - 1) * nx + ix) + 1, np.array([0.0, 1.0]), mesh.dx
-    # left: upper-left triangle of cells (0, iy)
-    left0 = iy * nxy
-    yield left0, left0 + nxy, 2 * (iy * nx) + 1, np.array([-1.0, 0.0]), mesh.dy
-    # right: lower-right triangle of cells (nx-1, iy)
-    right0 = iy * nxy + nx
-    yield right0, right0 + nxy, 2 * (iy * nx + nx - 1), np.array([1.0, 0.0]), mesh.dy
+    ix, iy = np.arange(nx), np.arange(ny)
+    return [
+        (2 * ix, [1.0, 1.0, 0.0], [0.0, -1.0], mesh.dx),
+        (2 * ((ny - 1) * nx + ix) + 1, [0.0, 1.0, 1.0], [0.0, 1.0], mesh.dx),
+        (2 * iy * nx + 1, [1.0, 0.0, 1.0], [-1.0, 0.0], mesh.dy),
+        (2 * (iy * nx + nx - 1), [0.0, 1.0, 1.0], [1.0, 0.0], mesh.dy),
+    ]
 
 
 def assemble_stiffness_nitsche(mesh: TriMesh, gamma0: float = DEFAULT_NITSCHE_GAMMA) -> sp.csr_matrix:
@@ -133,42 +118,18 @@ def assemble_stiffness_nitsche(mesh: TriMesh, gamma0: float = DEFAULT_NITSCHE_GA
     The boundary terms per edge e with outward normal n are
     -(dn u, v)_e - (u, dn v)_e + (gamma0 / h_e)(u, v)_e. gamma0 must be large
     enough for coercivity; too small a value leaves the form indefinite.
+    Every triangle along a wall has the same shape and local edge vertices,
+    so each wall adds one element matrix -(h_e/2)(s f^T + f s^T) +
+    (gamma0/6)(s s^T + diag s), with f the normal fluxes n . grad(phi_i).
     """
     if gamma0 <= 0.0:
         raise MeshParameterError("Nitsche penalty must be positive")
-    base = assemble_stiffness_neumann(mesh)
-
-    n = mesh.n_vertices
-    rows = []
-    cols = []
-    vals = []
-
-    def add(r, c, v):
-        rows.append(np.asarray(r, dtype=np.int64))
-        cols.append(np.asarray(c, dtype=np.int64))
-        vals.append(np.asarray(v, dtype=np.float64))
-
-    for va, vb, tri_rows, normal, h_e in _boundary_edges(mesh):
-        tris = mesh.triangles[tri_rows]  # (m, 3) vertex indices
-        grads = p1_gradients(mesh.vertices[tris[0]])  # same geometry along a side
-        flux = grads @ normal  # n . grad(phi_i), per local vertex
-        m = tris.shape[0]
-        # consistency: -(dn u, v)_e couples every trial vertex of the
-        # triangle with the two edge test vertices; added symmetrically.
-        for j_edge in (va, vb):
-            for i_local in range(3):
-                i_glob = tris[:, i_local]
-                val = np.full(m, -flux[i_local] * h_e / 2.0)
-                add(j_edge, i_glob, val)
-                add(i_glob, j_edge, val)
-        # penalty: (gamma0/h_e) * edge mass [[h/3, h/6], [h/6, h/3]]
-        add(va, va, np.full(m, gamma0 / 3.0))
-        add(vb, vb, np.full(m, gamma0 / 3.0))
-        add(va, vb, np.full(m, gamma0 / 6.0))
-        add(vb, va, np.full(m, gamma0 / 6.0))
-
-    boundary = _from_coo((n, n), np.concatenate(rows), np.concatenate(cols), np.concatenate(vals))
-    return _symmetrized(base + boundary)
+    groups = _volume_groups(mesh, p1_stiffness_element)
+    for rows, s, normal, h_e in _sides(mesh):
+        f = p1_gradients(mesh.vertices[mesh.triangles[rows[0]]]) @ normal
+        consistency = -(h_e / 2.0) * (np.outer(s, f) + np.outer(f, s))
+        groups.append((rows, consistency + (gamma0 / 6.0) * (np.outer(s, s) + np.diag(s))))
+    return _assemble(mesh, groups)
 
 
 def assemble_regularization(mesh: TriMesh, t: float = DEFAULT_REG_SHIFT) -> sp.csr_matrix:
@@ -179,9 +140,7 @@ def assemble_regularization(mesh: TriMesh, t: float = DEFAULT_REG_SHIFT) -> sp.c
     """
     if t <= 0.0:
         raise MeshParameterError("regularization shift t must be positive")
-    k = assemble_stiffness_neumann(mesh)
-    w = assemble_mass(mesh)
-    return k + t * w
+    return assemble_stiffness_neumann(mesh) + t * assemble_mass(mesh)
 
 
 def _barycentric_rows(mesh: TriMesh, points: np.ndarray):

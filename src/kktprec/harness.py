@@ -261,11 +261,11 @@ def _solve_instance(
     return [solve_one(cfg, sys, kind, q_ref, snapshot_dir) for kind in kinds]
 
 
-def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> list[RunRecord]:
+def run_convergence(cfg: ExperimentConfig) -> list[RunRecord]:
     """Error-vs-iteration comparison of the configured solvers on one
     instance (first entry of each list). Writes convergence.csv plus
     optional parameter-iterate snapshots as PGM."""
-    out = out_dir or cfg.out_dir
+    out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
     ops, y = _assemble_data(cfg, mesh, _observations(cfg, cfg.n_obs[0], out))
@@ -277,11 +277,11 @@ def run_convergence(cfg: ExperimentConfig, out_dir: str | None = None) -> list[R
 MESH_STUDY_COLUMNS = ("run-id", "nx", "ny", "h", "n-vertices", "iters-to-target", "converged")
 
 
-def run_mesh_study(cfg: ExperimentConfig, out_dir: str | None = None) -> list[dict]:
+def run_mesh_study(cfg: ExperimentConfig) -> list[dict]:
     """Iterations-to-target across a mesh sequence at fixed alpha and a
     shared observation file. Writes mesh-study.csv (summary) and the
     per-iteration records CSV."""
-    out = out_dir or cfg.out_dir
+    out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     if len(cfg.nx) < 2:
         raise ValueError("mesh study wants at least two meshes in nx/ny")
@@ -302,11 +302,11 @@ def run_mesh_study(cfg: ExperimentConfig, out_dir: str | None = None) -> list[di
     return summary
 
 
-def run_reg_data_sweep(cfg: ExperimentConfig, out_dir: str | None = None) -> np.ndarray:
+def run_reg_data_sweep(cfg: ExperimentConfig) -> np.ndarray:
     """Iterations-to-target over the (alpha, n_obs) grid for the first
     configured preconditioner. Cell value -1 means the target was not
     reached. Writes sweep.csv; observation files are fixed per n_obs."""
-    out = out_dir or cfg.out_dir
+    out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
     kind = cfg.preconditioners[0]
@@ -348,9 +348,7 @@ def _theory_row(job: tuple[ProblemOperators, float, float]) -> dict:
     }
 
 
-def run_theory_verification(
-    cfg: ExperimentConfig, out_dir: str | None = None
-) -> tuple[list[dict], bool]:
+def run_theory_verification(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     """verify_spectral_bounds on every (mesh, n_obs, alpha) instance.
 
     Returns (rows, all_ok). Rows carry the measured constants, extrema, and
@@ -360,7 +358,7 @@ def run_theory_verification(
     one forked worker per core when OpenBLAS loaded with one thread,
     otherwise serially.
     """
-    out = out_dir or cfg.out_dir
+    out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     obs_sets = [_observations(cfg, n_obs, out) for n_obs in cfg.n_obs]
     jobs = []

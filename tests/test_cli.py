@@ -169,6 +169,12 @@ def test_invalid_set_value_is_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_nonfinite_set_value_is_error(tmp_path, capsys):
+    code = main(["mesh-study", "--set", "alpha = nan", "--out", str(tmp_path)])
+    assert code == EXIT_ERROR
+    assert "alpha must be finite" in capsys.readouterr().err
+
+
 def test_set_overrides_config_file(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_obs = 5\nseed = 3\n")

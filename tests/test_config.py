@@ -79,6 +79,20 @@ def test_validation_errors():
         load_config(None, overrides=["snapshot_iters = -3"])
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("key", ["lx", "ly", "alpha", "rho", "reg_shift", "nitsche_gamma"])
+def test_nonfinite_values_rejected_by_name(key, value):
+    kwargs = {key: (value,) if key == "alpha" else value}
+    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+        ExperimentConfig(**kwargs)
+
+
+def test_snapshot_past_maxit_rejected():
+    with pytest.raises(ConfigError, match="snapshot_iters entry 500 exceeds maxit = 200"):
+        load_config(None, overrides=["maxit = 200", "snapshot_iters = 0, 500"])
+    assert load_config(None, overrides=["maxit = 200", "snapshot_iters = 0, 200"]).snapshot_iters == (0, 200)
+
+
 def test_load_config_file_and_overrides(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("alpha = 1e-4\nseed = 9\nnx = 8\nny = 6\n")

@@ -124,6 +124,67 @@ def test_nitsche_rejects_nonpositive_penalty():
         assemble_stiffness_nitsche(build_mesh(1.0, 1.0, 2, 2), gamma0=0.0)
 
 
+def _nitsche_wall_triplets(mesh, gamma0):
+    """Oracle for the Nitsche wall terms, emitted edge by edge as triplets:
+    per boundary edge (a, b) of a triangle with outward normal n, the
+    consistency entries -(h_e/2) n.grad(phi_i) join each edge vertex with
+    each triangle vertex (added in both orders), and the penalty adds
+    (gamma0/h_e) times the edge mass [[h_e/3, h_e/6], [h_e/6, h_e/3]]."""
+    nx, ny, nxy = mesh.nx, mesh.ny, mesh.nx + 1
+    ix, iy = np.arange(nx), np.arange(ny)
+    top0, left0, right0 = ny * nxy + ix, iy * nxy, iy * nxy + nx
+    sides = [
+        (ix, ix + 1, 2 * ix, (0.0, -1.0), mesh.dx),
+        (top0, top0 + 1, 2 * ((ny - 1) * nx + ix) + 1, (0.0, 1.0), mesh.dx),
+        (left0, left0 + nxy, 2 * (iy * nx) + 1, (-1.0, 0.0), mesh.dy),
+        (right0, right0 + nxy, 2 * (iy * nx + nx - 1), (1.0, 0.0), mesh.dy),
+    ]
+    rows, cols, vals = [], [], []
+
+    def add(r, c, v):
+        rows.append(np.asarray(r, dtype=np.int64))
+        cols.append(np.asarray(c, dtype=np.int64))
+        vals.append(np.asarray(v, dtype=np.float64))
+
+    for va, vb, tri_rows, normal, h_e in sides:
+        tris = mesh.triangles[tri_rows]
+        flux = p1_gradients(mesh.vertices[tris[0]]) @ np.array(normal)
+        m = tris.shape[0]
+        for j_edge in (va, vb):
+            for i_local in range(3):
+                val = np.full(m, -flux[i_local] * h_e / 2.0)
+                add(j_edge, tris[:, i_local], val)
+                add(tris[:, i_local], j_edge, val)
+        add(va, va, np.full(m, gamma0 / 3.0))
+        add(vb, vb, np.full(m, gamma0 / 3.0))
+        add(va, vb, np.full(m, gamma0 / 6.0))
+        add(vb, va, np.full(m, gamma0 / 6.0))
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
+@pytest.mark.parametrize("gamma0", [1.0, 10.0])
+@pytest.mark.parametrize("nx, ny", [(1, 1), (2, 1), (1, 3), (3, 2), (10, 7), (29, 20)])
+def test_nitsche_matches_edge_by_edge_oracle(nx, ny, gamma0):
+    """A equals the Neumann stiffness plus the oracle's wall triplets,
+    symmetrized, to rounding. Entries where a wall term cancels a volume
+    term are small against their terms, so the 2-ulp bound is taken at the
+    scale of each entry's terms: the same sum over their magnitudes."""
+    mesh = build_mesh(1.45, 1.0, nx, ny)
+    n = mesh.n_vertices
+    k = assemble_stiffness_neumann(mesh)
+    r, c, v = _nitsche_wall_triplets(mesh, gamma0)
+    expected = k + sp.coo_matrix((v, (r, c)), shape=(n, n)).tocsr()
+    expected = (expected + expected.T) * 0.5
+    scale = abs(k) + sp.coo_matrix((np.abs(v), (r, c)), shape=(n, n)).tocsr()
+    scale = ((scale + scale.T) * 0.5).toarray()[expected.nonzero()]
+
+    a = assemble_stiffness_nitsche(mesh, gamma0=gamma0)
+    assert np.array_equal(a.indptr, expected.indptr)
+    assert np.array_equal(a.indices, expected.indices)
+    assert np.all(np.abs(a.data - expected.data) <= 2 * np.spacing(scale))
+    assert (a != a.T).nnz == 0
+
+
 def poisson_l2_error(nx, ny, lx=1.0, ly=1.0, gamma0=10.0):
     """Manufactured Poisson solve; returns the mass-norm interpolation error."""
     mesh = build_mesh(lx, ly, nx, ny)

@@ -4,6 +4,7 @@ four run_* entry points with their CSV/PGM outputs."""
 import concurrent.futures
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ def test_convergence_outputs_reproducible(tmp_path):
     outs = []
     for name in ("a", "b"):
         out = str(tmp_path / name)
-        run_convergence(cfg, out_dir=out)
+        run_convergence(replace(cfg, out_dir=out))
         outs.append(out)
     for fname in sorted(os.listdir(outs[0])):
         b0 = open(os.path.join(outs[0], fname), "rb").read()
@@ -578,6 +579,7 @@ def test_theory_writes_each_observation_file_once(tmp_path, monkeypatch):
 _REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
+_REGENERATE = "if intended, regenerate results/ with: PYTHONPATH=src python scripts/run_all.py"
 _THEORY_EXACT_COLUMNS = {"run-id", "nx", "ny", "n-obs", "alpha", "rho", "pass"}
 
 
@@ -593,9 +595,10 @@ def _assert_theory_csv_close(got: bytes, want: bytes) -> None:
         assert len(g) == len(header)
         for column, a, b in zip(header, g, w):
             if column in _THEORY_EXACT_COLUMNS:
-                assert a == b, (w[0], column)
+                assert a == b, (w[0], column, _REGENERATE)
             else:
-                assert float(a) == pytest.approx(float(b), rel=1e-9, abs=0.0), (w[0], column)
+                assert float(a) == pytest.approx(float(b), rel=1e-9, abs=0.0), (
+                    w[0], column, _REGENERATE)
 
 
 @pytest.mark.parametrize(
@@ -614,11 +617,11 @@ def test_checked_in_results_reproduced(tmp_path, capsys, command, config):
     assert main([command, "--config", config_path, "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     golden = os.path.join(_REPO, load_config(config_path).out_dir)
-    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden))
+    assert sorted(os.listdir(tmp_path)) == sorted(os.listdir(golden)), _REGENERATE
     for name in os.listdir(golden):
         with open(os.path.join(golden, name), "rb") as f:
             want = f.read()
         if name == "theory.csv":
             _assert_theory_csv_close((tmp_path / name).read_bytes(), want)
         else:
-            assert (tmp_path / name).read_bytes() == want, f"{golden}/{name} differs"
+            assert (tmp_path / name).read_bytes() == want, f"{golden}/{name} differs; {_REGENERATE}"
