@@ -4,6 +4,10 @@ Subcommands: convergence, mesh-study, sweep, verify-theory, gen-obs,
 synth-source. Exit codes: 0 on success, 2 when a provable spectral bound
 fails verification, 1 on configuration or solver errors. Importing the
 package before numpy loads OpenBLAS with one thread (see parallel).
+
+The arguments are parsed and the config is loaded before the numerical
+modules are imported, so `--help` and a bad config exit without loading
+numpy or scipy.
 """
 
 from __future__ import annotations
@@ -12,10 +16,7 @@ import argparse
 import os
 import sys as _sys
 
-from . import harness
 from .config import ConfigError, ExperimentConfig, load_config
-from .formats import write_field_pgm, write_observations
-from .mesh import build_mesh
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -67,6 +68,10 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
+
+    from . import harness
+    from .formats import write_field_pgm, write_observations
+    from .mesh import build_mesh
 
     try:
         if args.command == "convergence":

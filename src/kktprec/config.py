@@ -4,15 +4,24 @@ Lines are `key = value`; `#` starts a comment (full-line or trailing);
 blank lines are ignored. List-valued keys take comma-separated entries.
 Command-line overrides use the same key=value strings and win over the
 file. Unknown keys are rejected.
+
+The module imports only the standard library, so loading a config loads
+neither numpy nor scipy. The solver-kind names live here for that reason;
+kkt re-exports them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
-import numpy as np
+BDAL_EXACT = "bdal-exact"
+BDAL_LUMPED_EXACT = "bdal-lumped-exact"
+BDAL_LUMPED_INEXACT = "bdal-lumped-inexact"
+REDUCED_REGULARIZATION = "reduced-regularization"
 
-from .kkt import PRECONDITIONER_KINDS
+BDAL_KINDS = (BDAL_EXACT, BDAL_LUMPED_EXACT, BDAL_LUMPED_INEXACT)
+PRECONDITIONER_KINDS = BDAL_KINDS + (REDUCED_REGULARIZATION,)
 
 
 class ConfigError(ValueError):
@@ -30,7 +39,7 @@ class ExperimentConfig:
     n_obs: tuple[int, ...] = (500,)
     seed: int = 1
     source: str = "synthetic"  # or a path to a PGM image
-    preconditioners: tuple[str, ...] = ("bdal-lumped-exact",)
+    preconditioners: tuple[str, ...] = (BDAL_LUMPED_EXACT,)
     tol: float = 1e-10
     maxit: int = 200
     out_dir: str = "results"
@@ -48,7 +57,8 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("lx", "ly", "alpha", "rho", "reg_shift", "nitsche_gamma"):
             value = getattr(self, name)
-            if value is not None and not np.all(np.isfinite(value)):
+            entries = value if isinstance(value, tuple) else (value,)
+            if value is not None and not all(math.isfinite(v) for v in entries):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if not (self.lx > 0 and self.ly > 0):
             raise ConfigError("domain extents must be positive")

@@ -73,6 +73,14 @@ from functools import cache, cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from .config import (
+    BDAL_EXACT,
+    BDAL_KINDS,
+    BDAL_LUMPED_EXACT,
+    BDAL_LUMPED_INEXACT,
+    PRECONDITIONER_KINDS,
+    REDUCED_REGULARIZATION,
+)
 from .fem import (
     DEFAULT_NITSCHE_GAMMA,
     DEFAULT_REG_SHIFT,
@@ -86,14 +94,6 @@ from .krylov import Operator
 from .mesh import ObservationSet, TriMesh, nested_dissection_order
 from .multigrid import Cycle
 from .sparse import EXACT_SOLVE_TOL, SparseLU
-
-BDAL_EXACT = "bdal-exact"
-BDAL_LUMPED_EXACT = "bdal-lumped-exact"
-BDAL_LUMPED_INEXACT = "bdal-lumped-inexact"
-REDUCED_REGULARIZATION = "reduced-regularization"
-
-BDAL_KINDS = (BDAL_EXACT, BDAL_LUMPED_EXACT, BDAL_LUMPED_INEXACT)
-PRECONDITIONER_KINDS = BDAL_KINDS + (REDUCED_REGULARIZATION,)
 
 
 class UnknownPreconditionerError(ValueError):
@@ -109,8 +109,9 @@ class NonpositiveDiagonalError(ValueError):
 
 
 def _forward_lu(a: sp.csr_matrix) -> SparseLU:
-    """LU of the forward operator A, refined to the true residual."""
-    return SparseLU(a, "forward", EXACT_SOLVE_TOL, residual=True)
+    """LU of the forward operator A, refined to backward error
+    EXACT_SOLVE_TOL like every other exact solve."""
+    return SparseLU(a, "forward", EXACT_SOLVE_TOL)
 
 
 def _triple_product(a: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
@@ -143,8 +144,8 @@ class ProblemOperators:
         """LU of A, factored on first use and shared by every forward and
         adjoint solve of the reduced-Hessian CG on this instance, its only
         reader (synthesize_data factors its own). Solves meet the
-        true-residual contract ||A x - b|| <= EXACT_SOLVE_TOL * ||b|| or
-        raise."""
+        backward-error contract ||A x - b|| <= EXACT_SOLVE_TOL *
+        (||A||_F ||x|| + ||b||) or raise."""
         return _forward_lu(self.forward)
 
     @cached_property
@@ -170,7 +171,7 @@ def assemble_problem(
         mass=mass,
         mass_lumped=lump_mass(mass),
         forward=assemble_stiffness_nitsche(mesh, gamma0=gamma0),
-        reg=assemble_regularization(mesh, t=t),
+        reg=assemble_regularization(mesh, t=t, mass=mass),
         observation=assemble_observation(mesh, obs),
         obs=obs,
     )
@@ -480,7 +481,8 @@ def regularization_prec_operator(h: ReducedHessianOperator) -> Operator:
 
 def synthesize_data(ops: ProblemOperators, q_true: np.ndarray) -> np.ndarray:
     """Noise-free observations of the state generated by q_true; the forward
-    solve meets ||A u - W q|| <= EXACT_SOLVE_TOL * ||W q|| or raises.
+    solve meets ||A u - W q|| <= EXACT_SOLVE_TOL * (||A||_F ||u|| + ||W q||)
+    or raises.
 
     A is factored here, by the same call as ops.forward_solver, and the LU
     is freed on return: it would otherwise stay alive through the

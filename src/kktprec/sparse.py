@@ -21,7 +21,7 @@ class SingularMatrixError(ValueError):
 
 
 class RefinementError(RuntimeError):
-    """Iterative refinement failed to reach the requested residual."""
+    """Iterative refinement failed to reach the requested backward error."""
 
 
 def refine(
@@ -36,9 +36,10 @@ def refine(
     """Refine x until the normwise backward error ||r|| / (||M||*||x|| + ||b||)
     is <= tol; raises RefinementError if max_rounds do not get there.
 
-    A plain ||r|| <= tol*||b|| target is unreachable in double precision
-    once cond(M) exceeds ~1/tol. Callers that need that target anyway pass
-    norm_m = 0, which turns the criterion into the relative residual.
+    A plain ||r|| <= tol*||b|| target would be unreachable in double
+    precision once cond(M) exceeds ~1/tol, so no solve is held to it
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 7 and 12).
     """
     norm_b = float(np.linalg.norm(b))
     if norm_b == 0.0:
@@ -56,8 +57,7 @@ def refine(
     err = backward_error(x, r)
     if err <= tol:
         return x
-    measure = "backward error" if norm_m > 0.0 else "relative residual"
-    raise RefinementError(f"refinement stalled at {measure} {err:.3e} (target {tol:.1e})")
+    raise RefinementError(f"refinement stalled at backward error {err:.3e} (target {tol:.1e})")
 
 
 # SuperLU settings for a matrix whose diagonal blocks are SPD: a minimum
@@ -67,7 +67,7 @@ SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options
 
 
 # The contract of every exact solve: a refined SparseLU's normwise backward
-# error, or its relative residual with residual=True, is at most this.
+# error is at most this.
 EXACT_SOLVE_TOL = 1e-12
 
 
@@ -93,20 +93,18 @@ class SparseLU:
 
     Every solve is refined against m, so a tiny pivot either refines to
     the contract or raises RefinementError, and so does a CSR m that
-    breaks the symmetry contract. By default refinement stops on the
-    normwise backward error ||m x - r|| / (||m||_F ||x|| + ||r||) <= tol.
-    With residual=True it stops on the true relative residual
-    ||m x - r|| <= tol * ||r|| instead. name labels the matrix in
-    SingularMatrixError and RefinementError messages.
+    breaks the symmetry contract. Refinement stops on the normwise
+    backward error ||m x - r|| / (||m||_F ||x|| + ||r||) <= tol. name
+    labels the matrix in SingularMatrixError and RefinementError messages.
     """
 
-    def __init__(self, m, name: str, tol: float, residual: bool = False, ordered: bool = False):
+    def __init__(self, m, name: str, tol: float, ordered: bool = False):
         import scipy.sparse.linalg as spla
 
         self.name = name
         self.matrix = m
         self._tol = tol
-        self._norm = 0.0 if residual else float(spla.norm(m))
+        self._norm = float(spla.norm(m))
         options = dict(SYMMETRIC_MODE, permc_spec="NATURAL") if ordered else SYMMETRIC_MODE
         try:
             self._lu = spla.splu(m if m.format == "csc" else m.T, **options)

@@ -79,12 +79,13 @@ def test_validation_errors():
         load_config(None, overrides=["snapshot_iters = -3"])
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("key", ["lx", "ly", "alpha", "rho", "reg_shift", "nitsche_gamma"])
 def test_nonfinite_values_rejected_by_name(key, value):
-    kwargs = {key: (value,) if key == "alpha" else value}
-    with pytest.raises(ConfigError, match=f"^{key} must be finite"):
-        ExperimentConfig(**kwargs)
+    # every alpha entry is checked, not only the first
+    for entry in [(value,), (1e-6, value)] if key == "alpha" else [value]:
+        with pytest.raises(ConfigError, match=f"^{key} must be finite"):
+            ExperimentConfig(**{key: entry})
 
 
 def test_snapshot_past_maxit_rejected():

@@ -1,7 +1,9 @@
-"""scipy.sparse.linalg (SuperLU, ARPACK, PROPACK) is loaded by the first
-factorization, not by the package import, so verify-theory, which never
-factors, never loads it. Checked in fresh interpreters: this one has it
-loaded by the test modules already."""
+"""What each entry point loads. `import kktprec` and load_config load
+neither numpy nor scipy: every numerical name of the package root is
+imported on first access. scipy.sparse.linalg (SuperLU, ARPACK, PROPACK) is
+loaded by the first factorization, so verify-theory, which never factors,
+never loads it. Checked in fresh interpreters: this one has them loaded by
+the test modules already."""
 
 import os
 import subprocess
@@ -34,6 +36,48 @@ except SystemExit as exc:
 assert not any(m.startswith("scipy.sparse.linalg") for m in sys.modules), "verify-theory loaded it"
 """
 
+_NUMERICAL = """
+import sys
+def numerical():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+"""
+
+_LOAD_CONFIG = _NUMERICAL + """
+import kktprec
+kktprec.load_config(sys.argv[1])
+assert not numerical(), numerical()[:5]
+"""
+
+_CONFIG_ERROR = _NUMERICAL + """
+import runpy
+sys.argv = ["kktprec.cli", "sweep", "--set", "bogus=1"]
+try:
+    runpy.run_module("kktprec.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code == 1, exc.code
+else:
+    raise AssertionError("no exit")
+assert not numerical(), numerical()[:5]
+"""
+
+_PUBLIC_NAMES = """
+import importlib
+import kktprec
+from kktprec import build_mesh, minres
+assert minres is importlib.import_module("kktprec.krylov").minres
+assert kktprec.__all__, "empty __all__"
+for name in kktprec.__all__:
+    home = importlib.import_module("kktprec." + kktprec._HOMES.get(name, "config"))
+    assert getattr(kktprec, name) is getattr(home, name), name
+    assert name in dir(kktprec), name
+try:
+    kktprec.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc), exc
+else:
+    raise AssertionError("unknown attribute resolved")
+"""
+
 
 def _run(code, *args):
     env = dict(os.environ)
@@ -53,3 +97,20 @@ def test_verify_theory_never_loads_superlu(tmp_path):
     out = _run(_VERIFY_THEORY, str(tmp_path))
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "theory.csv").exists()
+
+
+def test_load_config_loads_no_numpy_or_scipy():
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs", "sweep.cfg")
+    out = _run(_LOAD_CONFIG, config)
+    assert out.returncode == 0, out.stderr
+
+
+def test_public_names_resolve_to_their_home_modules():
+    out = _run(_PUBLIC_NAMES)
+    assert out.returncode == 0, out.stderr
+
+
+def test_config_error_exits_before_numpy_loads():
+    out = _run(_CONFIG_ERROR)
+    assert out.returncode == 0, out.stderr
+    assert "error: <override>:1: unknown config key 'bogus'" in out.stderr

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import make_instance
 from kktprec.fem import _from_coo
-from kktprec.kkt import NonpositiveDiagonalError, _triple_product
+from kktprec.kkt import NonpositiveDiagonalError, _forward_lu, _triple_product
 from kktprec.sparse import RefinementError, SingularMatrixError, SparseLU
 
 
@@ -105,9 +105,8 @@ def test_sparse_lu_solves_and_refines():
     dense[np.abs(dense) < 0.8] = 0.0
     m = sp.csc_matrix(dense)
     b = rng.standard_normal(12)
-    for residual in (False, True):
-        x = SparseLU(m, "test", 1e-12, residual=residual)(b)
-        assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
+    x = SparseLU(m, "test", 1e-12)(b)
+    assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
     assert np.all(SparseLU(m, "test", 1e-12)(np.zeros(12)) == 0.0)
 
 
@@ -132,8 +131,8 @@ def test_sparse_lu_singular_names_matrix():
 def test_sparse_lu_stalled_refinement_reports_error():
     rng = np.random.default_rng(32)
     m = sp.csc_matrix(rng.standard_normal((8, 8)) + 8.0 * np.eye(8))
-    solver = SparseLU(m, "forward", 1e-30, residual=True)
-    with pytest.raises(RefinementError, match=r"forward solve: .*relative residual \d"):
+    solver = SparseLU(m, "forward", 1e-30)
+    with pytest.raises(RefinementError, match=r"forward solve: refinement stalled at backward error \d"):
         solver(rng.standard_normal(8))
 
 
@@ -142,11 +141,10 @@ def test_sparse_lu_refinement_catches_nonsymmetric_csr():
     # nonsymmetric one factors the wrong matrix; refinement against m
     # then stalls here instead of returning a wrong solution.
     m = sp.csr_matrix([[1.0, 4.0], [0.0, 1.0]])
-    for residual in (False, True):
-        for ordered in (False, True):
-            solver = SparseLU(m, "probe", 1e-12, residual=residual, ordered=ordered)
-            with pytest.raises(RefinementError, match="probe solve: refinement stalled"):
-                solver(np.array([1.0, 2.0]))
+    for ordered in (False, True):
+        solver = SparseLU(m, "probe", 1e-12, ordered=ordered)
+        with pytest.raises(RefinementError, match="probe solve: refinement stalled"):
+            solver(np.array([1.0, 2.0]))
 
 
 TINY_PIVOT = {
@@ -161,14 +159,30 @@ TINY_PIVOT = {
 def test_sparse_lu_tiny_pivot_refines_or_raises(case):
     dense = np.array(TINY_PIVOT[case])
     rng = np.random.default_rng(33)
-    for residual in (False, True):
-        solver = SparseLU(sp.csr_matrix(dense), "tiny", 1e-12, residual=residual)
-        for _ in range(5):
-            b = rng.standard_normal(dense.shape[0])
-            try:
-                x = solver(b)
-            except RefinementError:
-                continue
-            norm = 0.0 if residual else np.linalg.norm(dense)
-            r = np.linalg.norm(dense @ x - b)
-            assert r <= 1e-12 * (norm * np.linalg.norm(x) + np.linalg.norm(b))
+    solver = SparseLU(sp.csr_matrix(dense), "tiny", 1e-12)
+    for _ in range(5):
+        b = rng.standard_normal(dense.shape[0])
+        try:
+            x = solver(b)
+        except RefinementError:
+            continue
+        r = np.linalg.norm(dense @ x - b)
+        assert r <= 1e-12 * (np.linalg.norm(dense) * np.linalg.norm(x) + np.linalg.norm(b))
+
+
+def test_forward_lu_meets_backward_error_where_relative_residual_cannot():
+    # cond(m) near 1e14 and b along m's smallest eigenvector: the computed x
+    # has a relative residual near eps * cond(m), far above 1e-12, yet a
+    # backward error near eps. The forward LU must hold the one contract.
+    rng = np.random.default_rng(35)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    dense = q @ np.diag(np.logspace(0.0, -14.0, 8)) @ q.T
+    dense = (dense + dense.T) * 0.5
+    eigenvalues, eigenvectors = np.linalg.eigh(dense)
+    assert eigenvalues[-1] / eigenvalues[0] >= 1e13
+    b = eigenvectors[:, 0]
+    x = _forward_lu(sp.csr_matrix(dense))(b)
+    norm = np.linalg.norm
+    r = norm(dense @ x - b)
+    assert r > 1e-12 * norm(b)
+    assert r <= 1e-12 * (norm(dense) * norm(x) + norm(b))
