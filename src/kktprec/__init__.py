@@ -14,7 +14,15 @@ import sys
 _ONE_BLAS_THREAD = "numpy" not in sys.modules or os.environ.get("OPENBLAS_NUM_THREADS") == "1"
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import (
+    BDAL_EXACT,
+    BDAL_LUMPED_EXACT,
+    BDAL_LUMPED_INEXACT,
+    REDUCED_REGULARIZATION,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+)
 
 __version__ = "0.1.0"
 
@@ -23,7 +31,6 @@ __version__ = "0.1.0"
 # nor scipy; the first numerical name loads them, with OpenBLAS at the one
 # thread set above.
 _NAMES = {
-    "config": ("BDAL_EXACT", "BDAL_LUMPED_EXACT", "BDAL_LUMPED_INEXACT", "REDUCED_REGULARIZATION"),
     "fem": (
         "assemble_mass",
         "assemble_observation",
@@ -48,7 +55,16 @@ _NAMES = {
 }
 _HOMES = {name: home for home, names in _NAMES.items() for name in names}
 
-__all__ = ["ConfigError", "ExperimentConfig", "load_config", *_HOMES]
+__all__ = [
+    "BDAL_EXACT",
+    "BDAL_LUMPED_EXACT",
+    "BDAL_LUMPED_INEXACT",
+    "REDUCED_REGULARIZATION",
+    "ConfigError",
+    "ExperimentConfig",
+    "load_config",
+    *_HOMES,
+]
 
 
 def __getattr__(name):

@@ -7,7 +7,7 @@ package before numpy loads OpenBLAS with one thread (see parallel).
 
 The arguments are parsed and the config is loaded before the numerical
 modules are imported, so `--help` and a bad config exit without loading
-numpy or scipy.
+numpy or scipy. A command that runs loads them as before.
 """
 
 from __future__ import annotations

@@ -133,17 +133,17 @@ def assemble_stiffness_nitsche(mesh: TriMesh, gamma0: float = DEFAULT_NITSCHE_GA
 
 
 def assemble_regularization(
-    mesh: TriMesh, t: float = DEFAULT_REG_SHIFT, mass: sp.csr_matrix | None = None
+    mesh: TriMesh, mass: sp.csr_matrix, t: float = DEFAULT_REG_SHIFT
 ) -> sp.csr_matrix:
-    """Neumann Laplacian plus t times the identity, in weak form: K + t*W.
+    """Neumann Laplacian plus t times the identity, in weak form: K + t*W,
+    with mass = W = assemble_mass(mesh), which every caller already holds.
 
     t must be positive; it removes the constant-function kernel of the
-    Neumann stiffness, so the result is SPD. mass is W when the caller
-    already holds it (assemble_mass(mesh)); it is assembled otherwise.
+    Neumann stiffness, so the result is SPD.
     """
     if t <= 0.0:
         raise MeshParameterError("regularization shift t must be positive")
-    return assemble_stiffness_neumann(mesh) + t * (assemble_mass(mesh) if mass is None else mass)
+    return assemble_stiffness_neumann(mesh) + t * mass
 
 
 def _barycentric_rows(mesh: TriMesh, points: np.ndarray):

@@ -110,7 +110,10 @@ class NonpositiveDiagonalError(ValueError):
 
 def _forward_lu(a: sp.csr_matrix) -> SparseLU:
     """LU of the forward operator A, refined to backward error
-    EXACT_SOLVE_TOL like every other exact solve."""
+    EXACT_SOLVE_TOL like every other exact solve. The one construction
+    behind both forward solves (ProblemOperators.forward_solver and
+    synthesize_data), so they share a label and a contract, and
+    tests/test_sparse.py pins that contract here."""
     return SparseLU(a, "forward", EXACT_SOLVE_TOL)
 
 
@@ -171,7 +174,7 @@ def assemble_problem(
         mass=mass,
         mass_lumped=lump_mass(mass),
         forward=assemble_stiffness_nitsche(mesh, gamma0=gamma0),
-        reg=assemble_regularization(mesh, t=t, mass=mass),
+        reg=assemble_regularization(mesh, mass, t=t),
         observation=assemble_observation(mesh, obs),
         obs=obs,
     )

@@ -227,8 +227,8 @@ def test_penalty_limit_pins_boundary():
 
 def test_regularization_annihilates_constants_up_to_shift():
     mesh = build_mesh(1.45, 1.0, 5, 4)
-    reg = assemble_regularization(mesh, t=0.1)
     w = assemble_mass(mesh)
+    reg = assemble_regularization(mesh, w, t=0.1)
     ones = np.ones(mesh.n_vertices)
     assert np.max(np.abs(reg @ ones - 0.1 * (w @ ones))) <= 1e-13
 
@@ -237,7 +237,7 @@ def test_regularization_hand_assembled_single_cell():
     # 1x1-cell unit square, t=1: compare against element-by-element hand
     # assembly of stiffness + mass into the 4-vertex dense matrix
     mesh = build_mesh(1.0, 1.0, 1, 1)
-    reg = assemble_regularization(mesh, t=1.0).toarray()
+    reg = assemble_regularization(mesh, assemble_mass(mesh), t=1.0).toarray()
     expected = np.zeros((4, 4))
     for tri in mesh.triangles:
         xy = mesh.vertices[tri]
@@ -249,21 +249,23 @@ def test_regularization_hand_assembled_single_cell():
 
 
 def test_regularization_spd():
-    reg = assemble_regularization(build_mesh(1.0, 1.0, 4, 4), t=0.1)
+    mesh = build_mesh(1.0, 1.0, 4, 4)
+    reg = assemble_regularization(mesh, assemble_mass(mesh), t=0.1)
     assert np.linalg.eigvalsh(reg.toarray())[0] > 0.0
 
 
 def test_regularization_rejects_nonpositive_shift():
     with pytest.raises(MeshParameterError):
-        assemble_regularization(build_mesh(1.0, 1.0, 2, 2), t=0.0)
+        mesh = build_mesh(1.0, 1.0, 2, 2)
+        assemble_regularization(mesh, assemble_mass(mesh), t=0.0)
 
 
 def test_regularization_equals_neumann_plus_shifted_mass():
     mesh = build_mesh(1.45, 1.0, 3, 3)
-    reg = assemble_regularization(mesh, t=0.25).toarray()
+    w = assemble_mass(mesh)
+    reg = assemble_regularization(mesh, w, t=0.25).toarray()
     k = assemble_stiffness_neumann(mesh).toarray()
-    w = assemble_mass(mesh).toarray()
-    assert np.allclose(reg, k + 0.25 * w, atol=1e-14)
+    assert np.allclose(reg, k + 0.25 * w.toarray(), atol=1e-14)
 
 
 # --- observation -------------------------------------------------------------

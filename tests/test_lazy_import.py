@@ -67,9 +67,11 @@ from kktprec import build_mesh, minres
 assert minres is importlib.import_module("kktprec.krylov").minres
 assert kktprec.__all__, "empty __all__"
 for name in kktprec.__all__:
-    home = importlib.import_module("kktprec." + kktprec._HOMES.get(name, "config"))
-    assert getattr(kktprec, name) is getattr(home, name), name
-    assert name in dir(kktprec), name
+    if name not in kktprec._HOMES:
+        assert getattr(kktprec, name) is getattr(kktprec.config, name), name
+for name, home in kktprec._HOMES.items():
+    assert getattr(kktprec, name) is getattr(importlib.import_module("kktprec." + home), name), name
+assert set(kktprec.__all__) <= set(dir(kktprec)), set(kktprec.__all__) - set(dir(kktprec))
 try:
     kktprec.no_such_name
 except AttributeError as exc:
