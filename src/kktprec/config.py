@@ -6,8 +6,8 @@ Command-line overrides use the same key=value strings and win over the
 file. Unknown keys are rejected.
 
 The module imports only the standard library, so loading a config loads
-neither numpy nor scipy. The solver-kind names live here for that reason;
-kkt re-exports them.
+neither numpy nor scipy. The solver-kind names live here for that reason,
+and every module imports them from here.
 """
 
 from __future__ import annotations

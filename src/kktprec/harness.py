@@ -21,7 +21,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .config import ExperimentConfig
+from .config import BDAL_EXACT, BDAL_KINDS, REDUCED_REGULARIZATION, ExperimentConfig
 from .fem import interpolate_image
 from .formats import (
     read_observations,
@@ -31,9 +31,6 @@ from .formats import (
     atomic_write_text,
 )
 from .kkt import (
-    BDAL_EXACT,
-    BDAL_KINDS,
-    REDUCED_REGULARIZATION,
     KktSystem,
     ProblemOperators,
     assemble_problem,

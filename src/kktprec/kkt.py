@@ -73,14 +73,8 @@ from functools import cache, cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .config import (
-    BDAL_EXACT,
-    BDAL_KINDS,
-    BDAL_LUMPED_EXACT,
-    BDAL_LUMPED_INEXACT,
-    PRECONDITIONER_KINDS,
-    REDUCED_REGULARIZATION,
-)
+# perfbench/traced.py imports REDUCED_REGULARIZATION from kktprec.kkt.
+from .config import BDAL_EXACT, BDAL_KINDS, BDAL_LUMPED_EXACT, REDUCED_REGULARIZATION
 from .fem import (
     DEFAULT_NITSCHE_GAMMA,
     DEFAULT_REG_SHIFT,
@@ -311,7 +305,7 @@ def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
 @dataclass
 class Preconditioner:
     """One preconditioner instance; apply_inverse(r) = P^{-1} r, blockwise.
-    kind is one of PRECONDITIONER_KINDS."""
+    kind is one of BDAL_KINDS."""
 
     kind: str
     rho: float

@@ -44,7 +44,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 
-from .kkt import BDAL_EXACT, KktSystem, Preconditioner
+from .config import BDAL_EXACT
+from .kkt import KktSystem, Preconditioner
 
 # Relative slack of every bound check.
 SLACK = 1e-8
@@ -53,7 +54,8 @@ MAX_DENSE_DIM = 3000
 
 
 class TheoryViolationError(RuntimeError):
-    """A provable spectral bound failed numerically beyond slack."""
+    """A provable spectral bound failed numerically beyond slack, or the
+    measured constants make the bounds vacuous."""
 
     def __init__(self, message: str, report: "ConditionReport"):
         super().__init__(message)
@@ -182,7 +184,8 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
 
     Measures delta and beta from the dense damped projectors, then checks
     the five bounds with relative slack SLACK. Raises TheoryViolationError
-    (carrying the report) if any fails.
+    (carrying the report) if any fails, or if beta >= 1 or delta <= 0 makes
+    them vacuous (bound_cond is then inf).
     """
     n = sys.n
     e = preconditioned_kkt_dense(sys, prec)
@@ -212,7 +215,10 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
 
     constants = AmGmConstants(delta=delta, beta=beta)
     bound_sigma = sigma_min_bound(constants)
-    bound_c = cond_bound(constants)
+    # Rounding can measure beta >= 1 at tiny alpha; the bounds then say
+    # nothing, and the instance fails instead of aborting the sweep.
+    vacuous = not (beta < 1.0 and delta > 0.0)
+    bound_c = math.inf if vacuous else cond_bound(constants)
 
     report = ConditionReport(
         delta=delta,
@@ -241,6 +247,7 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
             f"lambda_min(X + YtY) = {lambda_min_coercivity:.12g} >= 1 - beta = {1-beta:.12g}",
             leq(1.0 - beta, lambda_min_coercivity),
         ),
+        (f"beta = {beta:.12g}, delta = {delta:.12g}: the bounds are vacuous", not vacuous),
     ]
     failures = [label for label, ok in checks if not ok]
     if failures:

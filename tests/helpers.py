@@ -8,14 +8,9 @@ public assembly path only.
 
 import numpy as np
 
-from kktprec import (
-    assemble_problem,
-    build_kkt,
-    build_mesh,
-    generate_observations,
-    synth_source,
-    synthesize_data,
-)
+from kktprec.harness import generate_observations, synth_source
+from kktprec.kkt import assemble_problem, build_kkt, synthesize_data
+from kktprec.mesh import build_mesh
 
 MASK64 = (1 << 64) - 1
 

@@ -9,7 +9,6 @@ what was measured.
 import os
 
 import numpy as np
-import pytest
 from scipy.sparse.linalg import spsolve
 
 from filter_model import (

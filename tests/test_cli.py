@@ -1,5 +1,6 @@
 """CLI behavior: subcommand smoke runs, option precedence, exit codes."""
 
+import csv
 import os
 from types import SimpleNamespace
 
@@ -132,8 +133,8 @@ def test_verify_theory_smoke(tmp_path, capsys):
 
 
 def test_verify_theory_violation_exit_code(tmp_path, capsys, monkeypatch):
-    # The bounds hold on every honest instance, so the failure branch is
-    # exercised by stubbing the verification result.
+    # No honest instance violates a bound that says something, so a
+    # violation's output is exercised by stubbing the verification result.
     row = {
         "run-id": "theory-stub",
         "pass": False,
@@ -143,6 +144,27 @@ def test_verify_theory_violation_exit_code(tmp_path, capsys, monkeypatch):
     code = main(["verify-theory", "--out", str(tmp_path)])
     assert code == EXIT_THEORY_VIOLATION
     assert "theory-stub: VIOLATION cond(E)=10" in capsys.readouterr().out
+
+
+def test_verify_theory_records_a_vacuous_instance_and_continues(tmp_path, capsys):
+    # On this mesh rounding measures beta = 1.000000001 at alpha 1e-24, so
+    # the bounds are vacuous there; that row fails and the other is kept.
+    out = str(tmp_path)
+    code = main(
+        [
+            "verify-theory", "--out", out,
+            "--set", "nx = 6",
+            "--set", "ny = 4",
+            "--set", "alpha = 1e-2, 1e-24",
+            "--set", "n_obs = 20",
+        ]
+    )
+    assert code == EXIT_THEORY_VIOLATION
+    assert "alpha1e-24-obs20: VIOLATION" in capsys.readouterr().out
+    with open(os.path.join(out, "theory.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["pass"] for row in rows] == ["true", "false"]
+    assert [row["bound-cond"] == "inf" for row in rows] == [False, True]
 
 
 def test_missing_config_file_is_error(tmp_path, capsys):

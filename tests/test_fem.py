@@ -3,25 +3,21 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
-from kktprec import (
-    ObservationSet,
-    assemble_mass,
-    assemble_observation,
-    assemble_regularization,
-    assemble_stiffness_nitsche,
-    build_mesh,
-    interpolate_image,
-    lump_mass,
-)
 from kktprec.fem import (
     NonpositiveLumpedMassError,
     _barycentric_rows,
+    assemble_mass,
+    assemble_observation,
+    assemble_regularization,
     assemble_stiffness_neumann,
+    assemble_stiffness_nitsche,
+    interpolate_image,
+    lump_mass,
     p1_gradients,
     p1_mass_element,
     p1_stiffness_element,
 )
-from kktprec.mesh import MeshParameterError, PointLocationError
+from kktprec.mesh import MeshParameterError, ObservationSet, PointLocationError, build_mesh
 
 
 # --- mass ------------------------------------------------------------------

@@ -3,7 +3,6 @@ import os
 import numpy as np
 import pytest
 
-from kktprec import build_mesh, generate_observations
 from kktprec.formats import (
     ObservationFileError,
     PgmFormatError,
@@ -16,6 +15,8 @@ from kktprec.formats import (
     write_observations,
     write_pgm,
 )
+from kktprec.harness import generate_observations
+from kktprec.mesh import build_mesh
 
 
 def test_pgm_p2_round_trip(tmp_path):

@@ -9,35 +9,31 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from helpers import make_instance, probe_columns, record_factors
-from kktprec import (
+from kktprec import kkt
+from kktprec.config import (
     BDAL_EXACT,
+    BDAL_KINDS,
     BDAL_LUMPED_EXACT,
     BDAL_LUMPED_INEXACT,
     REDUCED_REGULARIZATION,
-    apply_kkt,
-    assemble_problem,
-    build_mesh,
-    build_kkt,
-    build_preconditioner,
-    generate_observations,
-    minres,
-    pcg,
-    reduced_hessian,
-    reference_solution,
-    synth_source,
-    synthesize_data,
+    ExperimentConfig,
 )
-from kktprec import kkt
-from kktprec.config import ExperimentConfig
 from kktprec.formats import write_observations
-from kktprec.harness import run_mesh_study, solve_one
+from kktprec.harness import generate_observations, run_mesh_study, solve_one, synth_source
 from kktprec.kkt import (
-    BDAL_KINDS,
     DimensionMismatchError,
     UnknownPreconditionerError,
+    apply_kkt,
+    assemble_problem,
+    build_kkt,
+    build_preconditioner,
+    reduced_hessian,
+    reference_solution,
     regularization_prec_operator,
+    synthesize_data,
 )
-from kktprec.mesh import nested_dissection_order
+from kktprec.krylov import minres, pcg
+from kktprec.mesh import build_mesh, nested_dissection_order
 from kktprec.sparse import SingularMatrixError, SparseLU
 
 

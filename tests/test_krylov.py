@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from helpers import probe_columns, random_spd
-from kktprec import minres, pcg, reduced_hessian
+from kktprec.kkt import reduced_hessian, regularization_prec_operator
 from kktprec.krylov import (
     IndefiniteOperatorError,
     LinearOperator,
     PreconditionerNotSpdError,
+    minres,
+    pcg,
 )
-from kktprec.kkt import regularization_prec_operator
 
 
 def identity(x):

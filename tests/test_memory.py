@@ -17,8 +17,11 @@ _PROBE = """
 import kktprec
 import json, os, resource
 import numpy as np
-from kktprec import (BDAL_EXACT, assemble_problem, build_kkt, build_mesh,
-                     build_preconditioner, generate_observations, verify_spectral_bounds)
+from kktprec.config import BDAL_EXACT
+from kktprec.harness import generate_observations
+from kktprec.kkt import assemble_problem, build_kkt, build_preconditioner
+from kktprec.mesh import build_mesh
+from kktprec.spectral import verify_spectral_bounds
 
 def verify(nx, ny):
     mesh = build_mesh(1.45, 1.0, nx, ny)

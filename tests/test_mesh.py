@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kktprec import ObservationSet, assemble_mass, assemble_stiffness_nitsche, build_mesh
+from kktprec.fem import assemble_mass, assemble_stiffness_nitsche
 from kktprec.mesh import (
     DISSECTION_LEAF,
     MeshParameterError,
+    ObservationSet,
     PointLocationError,
     bisect,
+    build_mesh,
     nested_dissection_order,
 )
 

@@ -6,17 +6,12 @@ import pytest
 import scipy.sparse as sp
 
 from helpers import make_instance, probe_columns
-from kktprec import (
-    BDAL_LUMPED_EXACT,
-    BDAL_LUMPED_INEXACT,
-    assemble_mass,
-    assemble_observation,
-    build_mesh,
-    build_preconditioner,
-    generate_observations,
-    minres,
-)
-from kktprec.kkt import _triple_product, kkt_operator
+from kktprec.config import BDAL_LUMPED_EXACT, BDAL_LUMPED_INEXACT
+from kktprec.fem import assemble_mass, assemble_observation
+from kktprec.harness import generate_observations
+from kktprec.kkt import _triple_product, build_preconditioner, kkt_operator
+from kktprec.krylov import minres
+from kktprec.mesh import build_mesh
 from kktprec.multigrid import Cycle, gershgorin_bound, prolongation
 
 

@@ -17,21 +17,18 @@ from filter_model import (
     stability_sigma_max,
 )
 from helpers import make_instance, splitmix64_reference, sqrt_psd
-from kktprec import (
-    BDAL_EXACT,
-    BDAL_LUMPED_EXACT,
-    AmGmConstants,
-    build_preconditioner,
-    cond_bound,
-    sigma_min_bound,
-    verify_spectral_bounds,
-)
 from kktprec import spectral
+from kktprec.config import BDAL_EXACT, BDAL_LUMPED_EXACT
+from kktprec.kkt import build_preconditioner
 from kktprec.spectral import (
+    AmGmConstants,
     DeskScaleError,
     NotSpdError,
     TheoryViolationError,
+    cond_bound,
     preconditioned_kkt_dense,
+    sigma_min_bound,
+    verify_spectral_bounds,
 )
 
 
