@@ -11,6 +11,12 @@ the wall-s column is written as zero and reruns are byte-identical.
 One path serves every instance of the convergence, mesh and sweep studies
 (_solve_instance: build the KKT system, solve the reference, run each
 solver), and one writer (_write_csv) formats every CSV.
+
+The sweep records only iterations-to-target, so its solves pass
+cfg.target_error to the Krylov solver as a third stop rule beside tol and
+maxit: each ends at its first iterate below the target, the iterate that
+decides its cell. The convergence and mesh studies write every iterate
+and the converged flag, so their solves run to tol or maxit.
 """
 
 from __future__ import annotations
@@ -186,11 +192,13 @@ def solve_one(
     kind: str,
     q_ref: np.ndarray,
     snapshot_dir: str | None = None,
+    target: float | None = None,
 ) -> RunRecord:
     """Run MINRES+BDAL or CG on the reduced Hessian, tracking the relative
     parameter error against the sparse direct reference solution. With a
     snapshot_dir, the parameter iterates at cfg.snapshot_iters are written
-    there as PGM."""
+    there as PGM. With a target, the solve ends at its first iterate whose
+    relative error is below it."""
     n, mesh = sys.n, sys.ops.mesh
     solver = "cg-hess" if kind == REDUCED_REGULARIZATION else "minres"
     run_id = f"{solver}-{kind}-nx{mesh.nx}-ny{mesh.ny}-alpha{sys.alpha:g}-obs{sys.y.size}"
@@ -218,6 +226,7 @@ def solve_one(
             reference=q_ref,
             select=lambda x: x[:n],
             callback=callback,
+            target=target,
         )
     elif kind == REDUCED_REGULARIZATION:
         h = reduced_hessian(sys)
@@ -229,6 +238,7 @@ def solve_one(
             maxit=cfg.maxit,
             reference=q_ref,
             callback=callback,
+            target=target,
         )
     else:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -250,12 +260,14 @@ def _solve_instance(
     alpha: float,
     kinds: tuple[str, ...],
     snapshot_dir: str | None = None,
+    target: float | None = None,
 ) -> list[RunRecord]:
-    """Every given solver on one (operators, data, alpha) instance. The
-    instance's system and reference die with this call."""
+    """Every given solver on one (operators, data, alpha) instance, each
+    stopped at target if one is given (see solve_one). The instance's
+    system and reference die with this call."""
     sys = build_kkt(ops, alpha, y)
     q_ref = reference_solution(sys)[: sys.n]
-    return [solve_one(cfg, sys, kind, q_ref, snapshot_dir) for kind in kinds]
+    return [solve_one(cfg, sys, kind, q_ref, snapshot_dir, target) for kind in kinds]
 
 
 def run_convergence(cfg: ExperimentConfig) -> list[RunRecord]:
@@ -302,7 +314,9 @@ def run_mesh_study(cfg: ExperimentConfig) -> list[dict]:
 def run_reg_data_sweep(cfg: ExperimentConfig) -> np.ndarray:
     """Iterations-to-target over the (alpha, n_obs) grid for the first
     configured preconditioner. Cell value -1 means the target was not
-    reached. Writes sweep.csv; observation files are fixed per n_obs."""
+    reached. Each solve stops at its first iterate below
+    cfg.target_error; tol and maxit still cap it. Writes sweep.csv;
+    observation files are fixed per n_obs."""
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
@@ -312,7 +326,7 @@ def run_reg_data_sweep(cfg: ExperimentConfig) -> np.ndarray:
     for j, n_obs in enumerate(cfg.n_obs):
         ops, y = _assemble_data(cfg, mesh, _observations(cfg, n_obs, out))
         for i, alpha in enumerate(cfg.alpha):
-            (rec,) = _solve_instance(cfg, ops, y, alpha, (kind,))
+            (rec,) = _solve_instance(cfg, ops, y, alpha, (kind,), target=cfg.target_error)
             if rec.iterations_to_target is not None:
                 matrix[i, j] = rec.iterations_to_target
         del ops, y  # freed before the next observation count assembles its own

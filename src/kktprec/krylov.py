@@ -10,10 +10,13 @@ the per-iterate residual and error histories.
 
 Both solvers share one bookkeeping path. It checks the right-hand side and
 the error reference, starts from x0 = 0 with r0 = b and z0 = M^{-1} r0,
-records each iterate's residual and error and calls the callback, and
-stops once the preconditioned residual has dropped below tol times its
-initial value or after maxit iterations. Each solver supplies only its
-recurrence and its own breakdown tests.
+records each iterate's residual and error and calls the callback. It
+stops at the first of three rules: the preconditioned residual has
+dropped below tol times its initial value, maxit iterations are done, or,
+when a target is given, the recorded error of an iterate is below it. The
+last rule ends a solve whose caller reads only the first iterate below a
+target error; the histories then end at that iterate. Each solver
+supplies only its recurrence and its own breakdown tests.
 """
 
 from __future__ import annotations
@@ -76,6 +79,8 @@ class SolveReport:
 
 _BREAKDOWN_REL = 1e-14
 
+_TINY = np.finfo(np.float64).tiny
+
 
 def _solve(
     prec: Operator,
@@ -85,6 +90,7 @@ def _solve(
     reference: np.ndarray | None,
     select: Operator | None,
     callback: Callable[[int, np.ndarray], None] | None,
+    target: float | None,
     steps: Callable[..., Iterator[tuple[np.ndarray, float, bool]]],
 ) -> SolveReport:
     """Run one solver's recurrence from x0 = 0 and record every iterate.
@@ -92,11 +98,14 @@ def _solve(
     steps(x0, r0, z0, r0^T z0) yields, for k = 1, 2, ..., the iterate x_k,
     its preconditioned residual norm and whether the recurrence broke down.
     A breakdown ends the solve unconverged unless the same iterate met the
-    tolerance.
+    tolerance. The target test comes after both, so it ends a solve without
+    changing its converged and breakdown flags.
     """
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 1:
         raise ValueError(f"rhs must be a vector, got shape {b.shape}")
+    if target is not None and reference is None:
+        raise ValueError("a target error needs an error reference")
     if reference is not None:
         ref = np.asarray(reference, dtype=np.float64)
         norm_ref = float(np.linalg.norm(ref))
@@ -118,15 +127,19 @@ def _solve(
     def record(k, x, res):
         res_hist.append(res)
         if reference is not None:
-            err_hist.append(float(np.linalg.norm(ref - pick(x))) / norm_ref)
+            e = ref - pick(x)
+            err_hist.append(math.sqrt(e @ e) / norm_ref)
         if callback:
             callback(k, x)
+
+    def reached_target():
+        return target is not None and err_hist[-1] < target
 
     record(0, x, res0)
     iterations = 0
     converged = res0 == 0.0
     breakdown = False
-    if not converged:
+    if not converged and not reached_target():
         iterates = steps(x, r, z, rz)
         while iterations < maxit:
             x, res, broke = next(iterates)
@@ -137,6 +150,8 @@ def _solve(
                 break
             if broke:
                 breakdown = True
+                break
+            if reached_target():
                 break
 
     return SolveReport(
@@ -158,13 +173,15 @@ def minres(
     reference: np.ndarray | None = None,
     select: Operator | None = None,
     callback: Callable[[int, np.ndarray], None] | None = None,
+    target: float | None = None,
 ) -> SolveReport:
     """Preconditioned MINRES for symmetric (possibly indefinite) systems.
 
     prec must apply the inverse of an SPD preconditioner. Stops when the
-    preconditioned residual drops below tol times its initial value. Lanczos
-    breakdown with a nonconverged residual is reported on the SolveReport,
-    not raised.
+    preconditioned residual drops below tol times its initial value, or,
+    given a target (which needs a reference), at the first iterate whose
+    relative error is below it. Lanczos breakdown with a nonconverged
+    residual is reported on the SolveReport, not raised.
     """
 
     def steps(x, r1, y, beta1_sq):
@@ -204,7 +221,7 @@ def minres(
             epsln = sn * beta
             dbar = -cs * beta
             gamma = math.hypot(gbar, beta)
-            gamma = max(gamma, np.finfo(np.float64).tiny)
+            gamma = max(gamma, _TINY)
             cs = gbar / gamma
             sn = beta / gamma
             phi = cs * phibar
@@ -218,7 +235,7 @@ def minres(
             # test before this flag says whether it was a happy breakdown.
             yield x, phibar, beta <= _BREAKDOWN_REL * beta1
 
-    return _solve(prec, b, tol, maxit, reference, select, callback, steps)
+    return _solve(prec, b, tol, maxit, reference, select, callback, target, steps)
 
 
 def pcg(
@@ -229,10 +246,12 @@ def pcg(
     maxit: int = 500,
     reference: np.ndarray | None = None,
     callback: Callable[[int, np.ndarray], None] | None = None,
+    target: float | None = None,
 ) -> SolveReport:
     """Preconditioned conjugate gradients for SPD systems.
 
-    Raises IndefiniteOperatorError on nonpositive curvature p^T A p.
+    Stops on tol, maxit or target as minres does. Raises
+    IndefiniteOperatorError on nonpositive curvature p^T A p.
     """
 
     def steps(x, r, z, rz):
@@ -253,4 +272,4 @@ def pcg(
             p = z + (rz_new / rz) * p
             rz = rz_new
 
-    return _solve(prec, b, tol, maxit, reference, None, callback, steps)
+    return _solve(prec, b, tol, maxit, reference, None, callback, target, steps)

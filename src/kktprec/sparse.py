@@ -13,6 +13,8 @@ never factors, such as every verify-theory process, never loads it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -40,13 +42,16 @@ def refine(
     precision once cond(M) exceeds ~1/tol, so no solve is held to it
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     ch. 7 and 12).
+
+    Each 2-norm is taken as sqrt(v @ v), the value np.linalg.norm returns
+    for a 1-D float64 vector, without its dispatch.
     """
-    norm_b = float(np.linalg.norm(b))
+    norm_b = math.sqrt(b @ b)
     if norm_b == 0.0:
         return np.zeros_like(b)
 
     def backward_error(xk, rk):
-        return float(np.linalg.norm(rk)) / (norm_m * float(np.linalg.norm(xk)) + norm_b)
+        return math.sqrt(rk @ rk) / (norm_m * math.sqrt(xk @ xk) + norm_b)
 
     for _ in range(max_rounds):
         r = b - matvec(x)

@@ -344,6 +344,52 @@ def test_sweep_unreached_cells_are_minus_one(tmp_path):
     assert lines[1] == "0.01,-1"
 
 
+@pytest.mark.parametrize("kind", ["bdal-lumped-exact", "reduced-regularization"])
+def test_sweep_stops_each_solve_at_its_target_crossing(tmp_path, monkeypatch, kind):
+    # The sweep ends each solve at its first iterate below target_error;
+    # its cells must equal _first_below of solves run on to tol.
+    cfg = ExperimentConfig(
+        nx=(4,),
+        ny=(3,),
+        alpha=(1.0, 1e-2, 1e-4),
+        n_obs=(5, 9),
+        seed=3,
+        preconditioners=(kind,),
+        tol=1e-12,
+        maxit=200,
+        out_dir=str(tmp_path),
+    )
+    stopped = []
+    real = harness.solve_one
+
+    def recording(*args, **kwargs):
+        stopped.append(real(*args, **kwargs))
+        return stopped[-1]
+
+    monkeypatch.setattr(harness, "solve_one", recording)
+    matrix = run_reg_data_sweep(cfg)
+    monkeypatch.undo()
+
+    mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
+    want = np.full_like(matrix, -1)
+    full = []
+    for j, n_obs in enumerate(cfg.n_obs):
+        obs = harness.generate_observations(cfg.seed, n_obs, cfg.lx, cfg.ly)
+        ops, y = harness._assemble_data(cfg, mesh, obs)
+        for i, alpha in enumerate(cfg.alpha):
+            (rec,) = harness._solve_instance(cfg, ops, y, alpha, (kind,))
+            full.append(rec)
+            hit = harness._first_below(rec.rel_param_error, cfg.target_error)
+            want[i, j] = -1 if hit is None else hit
+    assert np.array_equal(matrix, want)
+    assert np.all(matrix >= 1)
+    for cut, whole in zip(stopped, full, strict=True):
+        k = cut.iterations_to_target
+        assert len(cut.rel_param_error) == k + 1  # the history ends at the crossing
+        assert np.array_equal(cut.rel_param_error, whole.rel_param_error[: k + 1])
+    assert any(len(whole.rel_param_error) > len(cut.rel_param_error) for cut, whole in zip(stopped, full))
+
+
 # ---------------------------------------------------------------- theory
 
 

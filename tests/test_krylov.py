@@ -190,3 +190,53 @@ def test_operator_shape_validation():
         LinearOperator(3, 2, identity)(np.ones(3))
     b = np.array([1.0, 2.0, 3.0])
     assert np.allclose(minres(op, op, b).solution, b, rtol=0, atol=1e-13)
+
+
+@SOLVERS
+def test_target_stops_at_first_iterate_below(solve):
+    rng = np.random.default_rng(23)
+    m = random_spd(12, rng)
+    b = rng.standard_normal(12)
+    ref = np.linalg.solve(m, b)
+    full = solve(op_from(m), identity, b, tol=1e-14, maxit=60, reference=ref)
+    target = 1e-3
+    k = int(np.nonzero(full.error_history < target)[0][0])
+    assert 0 < k < full.iterations
+    iterates = []
+    cut = solve(op_from(m), identity, b, tol=1e-14, maxit=60, reference=ref, target=target,
+                callback=lambda j, x: iterates.append(x.copy()))
+    assert cut.iterations == k
+    assert np.array_equal(cut.error_history, full.error_history[: k + 1])
+    assert np.array_equal(cut.residual_history, full.residual_history[: k + 1])
+    assert np.array_equal(cut.solution, iterates[-1])
+    assert len(iterates) == k + 1
+    assert not cut.converged  # tol was not met on iterate k
+    assert not cut.breakdown
+
+
+@SOLVERS
+def test_target_met_with_tol_is_converged(solve):
+    b = np.array([2.0, -1.0, 0.5])
+    report = solve(identity, identity, b, reference=b, target=0.5)
+    assert report.iterations == 1
+    assert report.converged
+
+
+@SOLVERS
+def test_target_above_initial_error_applies_no_operator(solve):
+    def never(x):
+        raise AssertionError("operator applied although x0 is below the target")
+
+    report = solve(never, identity, np.ones(4), reference=np.ones(4), target=2.0)
+    assert report.iterations == 0
+    assert not report.converged
+    assert list(report.error_history) == [1.0]
+
+
+@SOLVERS
+def test_target_needs_reference(solve):
+    def never(x):
+        raise AssertionError("operator applied before the arguments were checked")
+
+    with pytest.raises(ValueError, match="reference"):
+        solve(never, never, np.ones(3), target=1e-3)

@@ -2,7 +2,9 @@
 neither numpy nor scipy: the package root names only the config, and every
 numerical name is imported from its own module. scipy.sparse.linalg
 (SuperLU, ARPACK, PROPACK) is loaded by the first factorization, so
-verify-theory, which never factors, never loads it. Checked in fresh interpreters: this one has them loaded by
+verify-theory, which never factors, never loads it. The CLI freezes the
+import-time heap out of the cyclic collector once per process. Checked in
+fresh interpreters: this one has the modules loaded and the heap frozen by
 the test modules already."""
 
 import os
@@ -76,6 +78,19 @@ else:
     raise AssertionError("the root resolved build_kkt")
 """
 
+_FREEZE = """
+import gc, sys
+from kktprec.cli import main
+argv = ["sweep", "--out", sys.argv[1], "--set", "nx = 4", "--set", "ny = 3",
+        "--set", "alpha = 1e-2", "--set", "n_obs = 5", "--set", "maxit = 50"]
+assert gc.get_freeze_count() == 0
+assert main(argv) == 0
+frozen = gc.get_freeze_count()
+assert frozen > 0 and gc.isenabled(), (frozen, gc.isenabled())
+assert main(argv) == 0
+assert gc.get_freeze_count() == frozen, "a second run froze more objects"
+"""
+
 
 def _run(code, *args):
     env = dict(os.environ)
@@ -112,3 +127,8 @@ def test_config_error_exits_before_numpy_loads():
     out = _run(_CONFIG_ERROR)
     assert out.returncode == 0, out.stderr
     assert "error: <override>:1: unknown config key 'bogus'" in out.stderr
+
+
+def test_cli_freezes_the_import_heap_once(tmp_path):
+    out = _run(_FREEZE, str(tmp_path))
+    assert out.returncode == 0, out.stderr

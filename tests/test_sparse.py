@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import make_instance
 from kktprec.fem import _from_coo
@@ -97,6 +100,15 @@ def test_assembled_operators_are_canonical_csr(nx, ny, n_obs, alpha):
         assert m.dtype == np.float64, name
     assert sys.matrix.shape == (sys.dim, sys.dim)
     assert ops.observation.shape == (n_obs, sys.n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(0, 300), elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_vector_norm_is_sqrt_of_dot(v):
+    # refine and the Krylov error history take every 2-norm this way and
+    # rely on it giving np.linalg.norm's bits; both overflow to inf alike.
+    with np.errstate(over="ignore"):
+        assert math.sqrt(v @ v) == float(np.linalg.norm(v))
 
 
 def test_sparse_lu_solves_and_refines():
