@@ -15,12 +15,21 @@ already. Most of them are numpy's, scipy's and this package's import-time
 objects, which live until exit. The cyclic collector then never walks
 them again, during the run or at exit; objects made later are collected
 as before. It changes no output.
+
+Just before that import, main registers each numpy submodule that numpy
+loads only on attribute access (numpy.f2py, numpy.testing, numpy.ma,
+numpy.polynomial, ...) as a lazy module (importlib.util.LazyLoader).
+scipy's array-API shim touches every name numpy lists, which would import
+all of them; a lazy module satisfies it without running. A submodule that
+something reads still runs on its first attribute access; the rest never
+run. It changes no output.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import os
 import sys as _sys
 
@@ -69,6 +78,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _defer_numpy_submodules() -> None:
+    """Register each numpy submodule not yet imported that numpy resolves
+    only on attribute access (listed by dir(numpy), absent from its
+    namespace) as a lazy module. A second call finds none left."""
+    import numpy
+
+    for name in sorted(set(dir(numpy)) - set(vars(numpy))):
+        fullname = f"numpy.{name}"
+        if fullname in _sys.modules:
+            continue
+        spec = importlib.util.find_spec(fullname)
+        if spec is None:
+            continue
+        # LazyLoader is not safe when two threads first touch one module at
+        # once; the CLI's only other thread, the process pool's manager,
+        # touches none of these modules.
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        _sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(numpy, name, module)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -77,6 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_ERROR
 
+    _defer_numpy_submodules()
     from . import harness
     from .formats import write_field_pgm, write_observations
     from .mesh import build_mesh

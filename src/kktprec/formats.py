@@ -8,7 +8,6 @@ never appear under their final name.
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -24,8 +23,11 @@ class ObservationFileError(ValueError):
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    """Write payload to path through a temp file in the same directory. The
+    temp file is created with mode 0o666 less the umask, the mode open()
+    gives a new file, which the rename keeps (mkstemp would give 0o600)."""
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)

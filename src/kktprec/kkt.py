@@ -111,12 +111,19 @@ def _forward_lu(a: sp.csr_matrix) -> SparseLU:
     return SparseLU(a, "forward", EXACT_SOLVE_TOL)
 
 
+def _diagonal(d: np.ndarray) -> sp.csr_matrix:
+    """diag(d) in CSR, built directly. sp.diags builds a DIA matrix first,
+    whose constructor calls np.unique, which loads numpy.ma."""
+    index = np.arange(d.size + 1, dtype=np.int32)
+    return sp.csr_matrix((d, index[:-1], index), shape=(d.size, d.size))
+
+
 def _triple_product(a: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
     """a^T diag(d) a, symmetrized exactly to kill last-ulp asymmetry from
     summation order. d must be positive, so the result is SPSD."""
     if np.any(d <= 0.0):
         raise NonpositiveDiagonalError("triple product requires positive diagonal entries")
-    prod = (a.T @ (sp.diags(d) @ a)).tocsr()
+    prod = (a.T @ (_diagonal(d) @ a)).tocsr()
     return (prod + prod.T) * 0.5
 
 
@@ -387,7 +394,7 @@ def build_preconditioner(
 
     else:
         w_diag = sys.ops.mass_lumped
-        block1 = sys.alpha * sys.reg + rho * sp.diags(w_diag)
+        block1 = sys.alpha * sys.reg + rho * _diagonal(w_diag)
         block2 = sys.btb + rho * sys.ops.at_lumped_inv_a
         if kind == BDAL_LUMPED_EXACT:
             solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL)

@@ -7,10 +7,13 @@ published ones (golden-gamma increment, two 64-bit finalizer rounds).
 
 from __future__ import annotations
 
+import math
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BELOW_ONE = math.nextafter(1.0, 0.0)
 
 
 class SplitMix64:
@@ -25,5 +28,7 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_unit(self) -> float:
-        """Uniform float in [0, 1): next 64-bit word scaled by 2^-64."""
-        return self.next_u64() * 2.0**-64
+        """Uniform float in [0, 1): next 64-bit word scaled by 2^-64. The
+        top 1024 words round to 1.0 in that product; they give the largest
+        double below 1 instead."""
+        return min(self.next_u64() * 2.0**-64, _BELOW_ONE)

@@ -1,4 +1,5 @@
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -142,3 +143,14 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_bytes(path, b"world")  # overwrite
     assert open(path, "rb").read() == b"world"
     assert sorted(os.listdir(tmp_path)) == ["out.txt"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027], ids=oct)
+def test_atomic_write_gives_the_umask_mode(tmp_path, umask):
+    path = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        atomic_write_bytes(str(path), b"x")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o666 & ~umask

@@ -21,6 +21,8 @@ def test_matches_reference_reimplementation():
 def test_unit_floats_in_range():
     gen = SplitMix64(7)
     values = [gen.next_unit() for _ in range(1000)]
+    # this seed's first word is 2^64 - 1, which rounds to 1.0 times 2^-64
+    values.append(SplitMix64(0x31628AF67B2131AB).next_unit())
     assert all(0.0 <= v < 1.0 for v in values)
 
 
