@@ -92,8 +92,8 @@ def _defer_numpy_submodules() -> None:
         if spec is None:
             continue
         # LazyLoader is not safe when two threads first touch one module at
-        # once; the CLI's only other thread, the process pool's manager,
-        # touches none of these modules.
+        # once; the CLI runs one thread, and verify-theory's workers are
+        # forked processes, each with its own copy of the module.
         spec.loader = importlib.util.LazyLoader(spec.loader)
         module = importlib.util.module_from_spec(spec)
         _sys.modules[fullname] = module

@@ -367,7 +367,8 @@ def run_theory_verification(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     observation file is written once; operators are assembled here once per
     (mesh, n_obs); the instances are verified by parallel.map_in_order, in
     one forked worker per core when OpenBLAS loaded with one thread,
-    otherwise serially.
+    otherwise serially. Workers inherit the operators through the fork;
+    only the rows are pickled back.
     """
     out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
@@ -377,7 +378,7 @@ def run_theory_verification(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
         mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
         for obs in obs_sets:
             ops = assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)
-            ops.btb  # formed here, once: the pickled operators carry it to every alpha's job
+            ops.btb  # formed here, once: workers inherit it through the fork for every alpha's job
             jobs += [(ops, alpha, cfg.rho_for(alpha)) for alpha in cfg.alpha]
     rows = map_in_order(_theory_row, jobs)
     measured = [f.name.replace("_", "-") for f in fields(ConditionReport)]

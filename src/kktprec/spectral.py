@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .config import BDAL_EXACT
 from .kkt import KktSystem, Preconditioner
@@ -116,19 +116,70 @@ def sigma_min_bound(c: AmGmConstants) -> float:
 # dense operator-level verification
 
 
+# The kernels call LAPACK (Anderson et al., LAPACK Users' Guide, 3rd ed.,
+# SIAM 1999) with the routines and arguments that scipy.linalg's
+# cholesky, solve_triangular, eigh(driver="evd") and svdvals pass, so the
+# results are bit for bit theirs. The wrappers' input check reads
+# numpy.ma.isMaskedArray, which would import numpy.ma in every verifying
+# process; the arrays here are the verifier's own float64 temporaries.
+
+
+def _lapack_ok(info: int, routine: str) -> None:
+    if info != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info}")
+
+
 def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of m, written over m: callers pass a fresh
-    temporary, Fortran-ordered where they can, so LAPACK needs no copy."""
-    try:
-        return cholesky(m, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise NotSpdError(f"preconditioner block {name} is not positive definite: {exc}") from exc
+    """Lower Cholesky factor of m (potrf), written over m: callers pass a
+    fresh temporary, Fortran-ordered where they can, so LAPACK needs no
+    copy."""
+    (potrf,) = get_lapack_funcs(("potrf",), (m,))
+    l, info = potrf(m, lower=1, overwrite_a=1, clean=1)
+    if info > 0:
+        raise NotSpdError(
+            f"preconditioner block {name} is not positive definite: "
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    _lapack_ok(info, "potrf")
+    return l
 
 
 def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^(-1) b, written over b where LAPACK can: callers pass b only when
-    nothing reads it afterwards."""
-    return solve_triangular(l, b, lower=True, overwrite_b=True, check_finite=False)
+    """L^(-1) b (trtrs), written over b where LAPACK can: callers pass b
+    only when nothing reads it afterwards."""
+    (trtrs,) = get_lapack_funcs(("trtrs",), (l, b))
+    if l.flags.f_contiguous:
+        x, info = trtrs(l, b, overwrite_b=1, lower=1, trans=0, unitdiag=0)
+    else:
+        # trtrs reads Fortran order, in which a C-ordered L is the upper
+        # factor L^T: solve (L^T)^T x = b on that view, as scipy does.
+        x, info = trtrs(l.T, b, overwrite_b=1, lower=0, trans=1, unitdiag=0)
+    _lapack_ok(info, "trtrs")
+    return x
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric a from its lower triangle
+    (syevd), written over a: callers pass a Fortran-ordered array that
+    nothing reads afterwards."""
+    syevd, syevd_lwork = get_lapack_funcs(("syevd", "syevd_lwork"), (a,))
+    lwork, liwork, info = syevd_lwork(n=a.shape[0], lower=1, compute_v=0)
+    _lapack_ok(info, "syevd_lwork")
+    w, _, info = syevd(
+        a=a, overwrite_a=1, lower=1, compute_v=0, lwork=int(lwork.real), liwork=int(liwork)
+    )
+    _lapack_ok(info, "syevd")
+    return w
+
+
+def svdvals(a: np.ndarray) -> np.ndarray:
+    """Singular values of a, descending (gesdd, no singular vectors)."""
+    gesdd, gesdd_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), (a,), ilp64="preferred")
+    lwork, info = gesdd_lwork(*a.shape, compute_uv=0, full_matrices=1)
+    _lapack_ok(info, "gesdd_lwork")
+    _, s, _, info = gesdd(a, compute_uv=0, lwork=int(lwork.real), full_matrices=1, overwrite_a=0)
+    _lapack_ok(info, "gesdd")
+    return s
 
 
 def _congruent(l: np.ndarray, block: sp.spmatrix) -> np.ndarray:
@@ -207,7 +258,7 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
 
     # E is exactly symmetric, so e.T is a Fortran-ordered view of it that
     # LAPACK overwrites in place, with no second 9n^2 buffer.
-    sigma = np.abs(eigh(e.T, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd"))
+    sigma = np.abs(_eigvalsh(e.T))
     del e
     sigma_max = float(sigma.max())
     sigma_min = float(sigma.min())

@@ -1,7 +1,6 @@
 """Experiment drivers: observation sampling, the synthetic source, and the
 four run_* entry points with their CSV/PGM outputs."""
 
-import concurrent.futures
 import os
 import pickle
 from dataclasses import replace
@@ -448,8 +447,8 @@ def _theory_grid(out_dir):
     )
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a worker pool was started")
+def _no_fork():
+    raise AssertionError("a worker was forked")
 
 
 def test_theory_pooled_and_serial_agree(tmp_path, monkeypatch):
@@ -458,7 +457,7 @@ def test_theory_pooled_and_serial_agree(tmp_path, monkeypatch):
     pooled, pooled_ok = run_theory_verification(_theory_grid(tmp_path / "pooled"))
     # One available core: same job function, run in this process.
     monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {0})
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(parallel.os, "fork", _no_fork)
     serial, serial_ok = run_theory_verification(_theory_grid(tmp_path / "serial"))
     assert pooled_ok and serial_ok
     assert pooled == serial
@@ -470,7 +469,7 @@ def test_theory_without_blas_cap_runs_serially(tmp_path, monkeypatch):
     monkeypatch.setattr(parallel, "_ONE_BLAS_THREAD", True)
     capped, _ = run_theory_verification(_theory_grid(tmp_path / "capped"))
     monkeypatch.setattr(parallel, "_ONE_BLAS_THREAD", False)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    monkeypatch.setattr(parallel.os, "fork", _no_fork)
     uncapped, _ = run_theory_verification(_theory_grid(tmp_path / "uncapped"))
     assert uncapped == capped
 

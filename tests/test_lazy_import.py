@@ -5,8 +5,10 @@ numerical name is imported from its own module. scipy.sparse.linalg
 verify-theory, which never factors, never loads it. The CLI freezes the
 import-time heap out of the cyclic collector once per process, and defers
 the numpy submodules that scipy's array-API shim touches to their first
-attribute access, so the ones no run reads never execute. Checked in
-fresh interpreters: this one has the modules loaded and the heap frozen by
+attribute access, so the ones no run reads never execute. The verifier
+calls LAPACK without scipy.linalg's input check, so verify-theory never
+runs numpy.ma, and its worker map imports neither multiprocessing nor
+concurrent.futures. Checked in fresh interpreters: this one has the modules loaded and the heap frozen by
 the test modules already."""
 
 import os
@@ -38,6 +40,9 @@ try:
 except SystemExit as exc:
     assert exc.code == 0, exc.code
 assert not any(m.startswith("scipy.sparse.linalg") for m in sys.modules), "verify-theory loaded it"
+# One instance is verified in this process, through LAPACK directly: no
+# scipy.linalg input check runs numpy.ma.
+assert "numpy.ma.core" not in sys.modules, "verifying ran numpy.ma"
 """
 
 _NUMERICAL = """
@@ -167,8 +172,11 @@ def test_sweep_never_runs_the_deferred_numpy_submodules(tmp_path):
 
 
 def test_verify_theory_never_runs_the_deferred_numpy_submodules(tmp_path):
-    # numpy.ma runs in the process that verifies: scipy.linalg's input
-    # check reads numpy.ma.isMaskedArray. Forked workers inherit the lazy
-    # modules.
-    out = _run(_DEFERRED, "verify-theory", str(tmp_path), *_UNREAD)
+    # Two instances, so where there are two cores they are verified in
+    # forked workers, which inherit the lazy modules; the map that forks
+    # them imports neither multiprocessing nor concurrent.futures. The
+    # verifier calls LAPACK without scipy.linalg's input check, which reads
+    # numpy.ma.isMaskedArray, so numpy.ma runs in no process.
+    out = _run(_DEFERRED, "verify-theory", str(tmp_path), *_UNREAD, "numpy.ma.core",
+               "multiprocessing", "concurrent.futures")
     assert out.returncode == 0, out.stderr

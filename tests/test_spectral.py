@@ -429,3 +429,73 @@ def test_coercivity_violation_raises(kkt_2x2, monkeypatch):
     with pytest.raises(TheoryViolationError, match=r"^lambda_min\(X \+ YtY\)") as exc:
         verify_spectral_bounds(kkt_2x2, p)
     assert exc.value.report.lambda_min_coercivity == 1.0 - (beta + 1e-6)
+
+
+# --- LAPACK calls against scipy.linalg's wrappers ---------------------------
+
+def _wrapper_kernels(monkeypatch):
+    """Put scipy.linalg's cholesky, solve_triangular, eigh(driver="evd") and
+    svdvals, called as the verifier called them before it went to LAPACK
+    directly, in place of its kernels."""
+    def cholesky(m, name):
+        return sla.cholesky(m, lower=True, overwrite_a=True, check_finite=False)
+
+    def solve_lower(l, b):
+        return sla.solve_triangular(l, b, lower=True, overwrite_b=True, check_finite=False)
+
+    def eigvalsh(a):
+        return sla.eigh(a, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd")
+
+    monkeypatch.setattr(spectral, "_cholesky", cholesky)
+    monkeypatch.setattr(spectral, "_solve_lower", solve_lower)
+    monkeypatch.setattr(spectral, "_eigvalsh", eigvalsh)
+    monkeypatch.setattr(spectral, "svdvals", lambda a: sla.svdvals(a, check_finite=False))
+
+
+@pytest.mark.parametrize("nx, ny", [(6, 4), (10, 7)])
+@pytest.mark.parametrize("alpha", [1e-2, 1e-6])
+def test_lapack_kernels_reproduce_scipy_wrappers(nx, ny, alpha, monkeypatch):
+    # Every field is equal, not close: a wrong lower flag or a syevd lwork
+    # below the blocked size moves the report.
+    sys = make_instance(nx=nx, ny=ny, n_obs=50, alpha=alpha)
+    p = build_preconditioner(sys, BDAL_EXACT)
+    report = verify_spectral_bounds(sys, p)
+    _wrapper_kernels(monkeypatch)
+    assert report == verify_spectral_bounds(sys, p)
+
+
+def test_lapack_kernels_match_wrappers_on_their_other_paths(monkeypatch):
+    # Paths the theory instances leave untaken: a C-ordered factor, which
+    # trtrs solves as the transposed upper factor; and an SVD large enough
+    # (dgebrd blocks above 128) that gesdd's lwork changes the bits.
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((160, 160))
+    l = np.ascontiguousarray(sla.cholesky(a @ a.T + 160.0 * np.eye(160), lower=True))
+    assert not l.flags.f_contiguous
+    b = rng.standard_normal((160, 7))
+    assert np.array_equal(spectral._solve_lower(l, b.copy()), sla.solve_triangular(l, b, lower=True))
+    assert np.array_equal(spectral.svdvals(a), sla.svdvals(a))
+    with pytest.raises(np.linalg.LinAlgError, match="^LAPACK trtrs failed with info = 2$"):
+        spectral._solve_lower(np.asfortranarray(np.diag([1.0, 0.0])), np.ones((2, 1)))
+
+    # Same routines as the wrappers, with gesdd's ILP64 preference. This
+    # scipy build may have no ILP64 LAPACK, where "preferred" and False
+    # pick one routine, so the request itself is checked.
+    requests = []
+    real = spectral.get_lapack_funcs
+
+    def recording(names, arrays=(), dtype=None, ilp64=False):
+        requests.append((tuple(names), ilp64))
+        return real(names, arrays, dtype, ilp64)
+
+    monkeypatch.setattr(spectral, "get_lapack_funcs", recording)
+    spectral._cholesky(a @ a.T + 160.0 * np.eye(160), "P")
+    spectral._solve_lower(l, b.copy())
+    spectral._eigvalsh(np.asfortranarray(a + a.T))
+    spectral.svdvals(a)
+    assert requests == [
+        (("potrf",), False),
+        (("trtrs",), False),
+        (("syevd", "syevd_lwork"), False),
+        (("gesdd", "gesdd_lwork"), "preferred"),
+    ]
