@@ -99,7 +99,15 @@ class ExperimentConfig:
                 )
 
     def rho_for(self, alpha: float) -> float:
-        return self.rho if self.rho is not None else float(alpha) ** 0.5
+        return self.rho if self.rho is not None else default_rho(alpha)
+
+
+def default_rho(alpha: float) -> float:
+    """The default augmented-Lagrangian weight, sqrt(alpha), correctly
+    rounded. The one rule behind both the config's sqrt-alpha and
+    build_preconditioner's rho=None: alpha ** 0.5 (libm pow) can differ
+    from it in the last bit."""
+    return math.sqrt(alpha)
 
 
 def _parse_bool(raw: str) -> bool:

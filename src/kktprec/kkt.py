@@ -29,9 +29,11 @@ as_operator, ReducedHessianOperator.as_operator,
 regularization_prec_operator) are plain callables.
 
 Every solve meant to be exact goes through one cached sparse LU
-(:class:`SparseLU`) refined against the sparse matrix: the reference KKT
-solve, the factored BDAL blocks, bdal-exact's mass solves and its
-augmented P2 system, the coarsest level of each multigrid cycle, the R*R
+(:class:`SparseLU`) and meets its one contract, set in sparse.py alone: a
+normwise backward error of at most EXACT_SOLVE_TOL against the sparse
+matrix, or RefinementError. No solve passes a tolerance of its own. These
+are the reference KKT solve, the factored BDAL blocks, bdal-exact's mass
+solves and its augmented P2 system, the coarsest level of each multigrid cycle, the R*R
 solve of the baseline preconditioner, and the forward and adjoint PDE
 solves (one LU of A per ProblemOperators, made by the reduced-Hessian
 CG, its only reader; synthesize_data factors A in an LU of its own that
@@ -51,10 +53,12 @@ reference factors
 with the unknowns (u, eta, q) of each vertex interleaved, vertex by vertex
 in the geometric nested-dissection order of mesh.nested_dissection_order
 (George, SIAM J. Numer. Anal. 10, 1973), and factors it in that order.
-bdal-exact's augmented P2 system interleaves its (z, mu) the same way.
-Every other LU orders by minimum degree on m^T + m: the lumped block 2
-couples vertices two apart, which one-line separators do not split, and
-the coarsest multigrid levels are too small to gain.
+bdal-exact's augmented P2 system interleaves its (z, mu) the same way,
+and both go through one permuted solve (_permuted_solver), the only LU
+factored in the order it is given. Every other LU orders by minimum
+degree on m^T + m: the lumped block 2 couples vertices two apart, which
+one-line separators do not split, and the coarsest multigrid levels are
+too small to gain.
 
 Each matrix SuperLU factors exists once while it is factored. Both
 permuted systems go from their blocks' entries straight into CSC, the
@@ -74,7 +78,7 @@ import numpy as np
 import scipy.sparse as sp
 
 # perfbench/traced.py imports REDUCED_REGULARIZATION from kktprec.kkt.
-from .config import BDAL_EXACT, BDAL_KINDS, BDAL_LUMPED_EXACT, REDUCED_REGULARIZATION
+from .config import BDAL_EXACT, BDAL_KINDS, BDAL_LUMPED_EXACT, REDUCED_REGULARIZATION, default_rho
 from .fem import (
     DEFAULT_NITSCHE_GAMMA,
     DEFAULT_REG_SHIFT,
@@ -87,7 +91,7 @@ from .fem import (
 from .krylov import Operator
 from .mesh import ObservationSet, TriMesh, nested_dissection_order
 from .multigrid import Cycle
-from .sparse import EXACT_SOLVE_TOL, SparseLU
+from .sparse import SparseLU
 
 
 class UnknownPreconditionerError(ValueError):
@@ -100,15 +104,6 @@ class DimensionMismatchError(ValueError):
 
 class NonpositiveDiagonalError(ValueError):
     pass
-
-
-def _forward_lu(a: sp.csr_matrix) -> SparseLU:
-    """LU of the forward operator A, refined to backward error
-    EXACT_SOLVE_TOL like every other exact solve. The one construction
-    behind both forward solves (ProblemOperators.forward_solver and
-    synthesize_data), so they share a label and a contract, and
-    tests/test_sparse.py pins that contract here."""
-    return SparseLU(a, "forward", EXACT_SOLVE_TOL)
 
 
 def _diagonal(d: np.ndarray) -> sp.csr_matrix:
@@ -147,10 +142,8 @@ class ProblemOperators:
     def forward_solver(self) -> SparseLU:
         """LU of A, factored on first use and shared by every forward and
         adjoint solve of the reduced-Hessian CG on this instance, its only
-        reader (synthesize_data factors its own). Solves meet the
-        backward-error contract ||A x - b|| <= EXACT_SOLVE_TOL *
-        (||A||_F ||x|| + ||b||) or raise."""
-        return _forward_lu(self.forward)
+        reader (synthesize_data factors its own)."""
+        return SparseLU(self.forward, "forward")
 
     @cached_property
     def btb(self) -> sp.csr_matrix:
@@ -280,10 +273,30 @@ def _permuted_csc(blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, co
     return sp.csc_matrix((data, (r, c)), shape=(rows.size, cols.size))
 
 
-def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
-    """Sparse direct solve of the full KKT system, refined to normwise
-    backward error <= tol, which for a reasonably conditioned K implies
-    ||K z - rhs|| <= tol * ||rhs||.
+def _permuted_solver(
+    blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, cols: np.ndarray, name: str
+) -> Operator:
+    """b -> z solving sp.bmat(blocks) z = b through one LU of the system
+    permuted to rows and cols, built straight into CSC (_permuted_csc) and
+    factored in that order: z[cols] solves the permuted system for
+    b[rows]. Permuting rows and columns keeps the Frobenius norm and the
+    residual norm, so the LU's backward-error contract holds for the
+    unpermuted system too."""
+    lu = SparseLU(_permuted_csc(blocks, rows, cols), name, ordered=True)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        z = np.empty(cols.size)
+        z[cols] = lu(b[rows])
+        return z
+
+    return solve
+
+
+def reference_solution(sys: KktSystem) -> np.ndarray:
+    """Sparse direct solve of the full KKT system to the exact-solve
+    contract of every SparseLU: normwise backward error at most
+    EXACT_SOLVE_TOL, which for a reasonably conditioned K implies a
+    relative residual near that size.
 
     The LU is of K permuted in one step: row 3k + (0, 1, 2) is block row
     (3, 2, 1) of vertex v_k and column 3k + (0, 1, 2) is (u, eta, q) of
@@ -293,9 +306,7 @@ def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
     order. The permuted matrix is built from K's blocks straight into CSC
     and is the only copy of K while SuperLU factors it: neither K
     (sys.matrix, left for MINRES to assemble) nor a permuted CSR matrix
-    exists. Refinement multiplies by that CSC matrix. Permuting rows and
-    columns keeps the Frobenius norm and the residual norm, so refining
-    against the permuted matrix is refining against K.
+    exists. Refinement multiplies by that CSC matrix.
     """
     if float(np.linalg.norm(sys.rhs)) == 0.0:
         return np.zeros(sys.dim)
@@ -303,10 +314,7 @@ def reference_solution(sys: KktSystem, tol: float = 1e-10) -> np.ndarray:
     vertex = nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)[:, None]
     rows = (vertex + [2 * n, n, 0]).ravel()
     cols = (vertex + [n, 2 * n, 0]).ravel()
-    matched = _permuted_csc(sys.blocks(), rows, cols)
-    z = np.empty(sys.dim)
-    z[cols] = SparseLU(matched, "KKT", tol, ordered=True)(sys.rhs[rows])
-    return z
+    return _permuted_solver(sys.blocks(), rows, cols, "KKT")(sys.rhs)
 
 
 @dataclass
@@ -330,8 +338,8 @@ def build_preconditioner(
 ) -> Preconditioner:
     """Build a BDAL preconditioner for the KKT system.
 
-    rho defaults to sqrt(alpha). Exact kinds solve their blocks with cached
-    sparse LUs refined to backward error 1e-12. The non-lumped kind
+    rho defaults to sqrt(alpha) (config.default_rho). Exact kinds solve
+    their blocks with cached sparse LUs. The non-lumped kind
     applies P2^-1 through one LU of the 2n augmented system
     [[A, -W/rho], [BtB, A]] [z; mu] = [0; r], row-swapped so that both
     diagonal blocks are A and with (z, mu) interleaved per vertex in
@@ -342,10 +350,10 @@ def build_preconditioner(
     which reduce to the coarse LU on meshes that cannot be halved.
 
     No factored matrix has a second copy while SuperLU runs: the augmented
-    system is built straight into CSC (as in reference_solution), and
-    every other factored matrix, each block, the mass matrix and each
-    coarsest multigrid level, is exactly symmetric CSR, which SparseLU
-    factors through its transpose view.
+    system is built straight into CSC (_permuted_solver, as for the
+    reference), and every other factored matrix, each block, the mass
+    matrix and each coarsest multigrid level, is exactly symmetric CSR,
+    which SparseLU factors through its transpose view.
 
     inner_tol is read by no kind. It is still accepted, and checked to lie
     in (0, 1), because the benchmark's traced replica passes it.
@@ -356,7 +364,7 @@ def build_preconditioner(
             "preconditioning lives on the reduced Hessian)"
         )
     if rho is None:
-        rho = float(np.sqrt(sys.alpha))
+        rho = default_rho(sys.alpha)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     if not (0.0 < inner_tol < 1.0):
@@ -369,36 +377,26 @@ def build_preconditioner(
         # preconditioner. The augmented system's Schur complement is P2, so
         # its LU applies P2^-1 exactly.
         @cache
-        def factors() -> tuple[np.ndarray, SparseLU, SparseLU, SparseLU]:
-            order = nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)
-            pairs = (order[:, None] + [0, n]).ravel()
-            block1 = sys.alpha * sys.reg + rho * sys.mass
-            augmented = _permuted_csc([[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]], pairs, pairs)
+        def factors() -> tuple[SparseLU, SparseLU, Operator]:
+            pairs = (nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)[:, None] + [0, n]).ravel()
+            augmented = [[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]]
             return (
-                order,
-                SparseLU(block1, "block 1", EXACT_SOLVE_TOL),
-                SparseLU(sys.mass, "mass", EXACT_SOLVE_TOL),
-                SparseLU(augmented, "block 2", EXACT_SOLVE_TOL, ordered=True),
+                SparseLU(sys.alpha * sys.reg + rho * sys.mass, "block 1"),
+                SparseLU(sys.mass, "mass"),
+                _permuted_solver(augmented, pairs, pairs, "block 2"),
             )
 
-        def solve2(r: np.ndarray) -> np.ndarray:
-            order, _, _, augmented = factors()
-            rhs = np.zeros(2 * n)
-            rhs[1::2] = r[order]
-            z = np.empty(n)
-            z[order] = augmented(rhs)[::2]
-            return z
-
-        solve1 = lambda r: factors()[1](r)
-        solve3 = lambda r: rho * factors()[2](r)
+        solve1 = lambda r: factors()[0](r)
+        solve2 = lambda r: factors()[2](np.concatenate([np.zeros(n), r]))[:n]
+        solve3 = lambda r: rho * factors()[1](r)
 
     else:
         w_diag = sys.ops.mass_lumped
         block1 = sys.alpha * sys.reg + rho * _diagonal(w_diag)
         block2 = sys.btb + rho * sys.ops.at_lumped_inv_a
         if kind == BDAL_LUMPED_EXACT:
-            solve1 = SparseLU(block1, "block 1", EXACT_SOLVE_TOL)
-            solve2 = SparseLU(block2, "block 2", EXACT_SOLVE_TOL)
+            solve1 = SparseLU(block1, "block 1")
+            solve2 = SparseLU(block2, "block 2")
         else:
             mesh = sys.ops.mesh
             solve1 = Cycle(block1, mesh.nx, mesh.ny, 1, "block 1")
@@ -440,8 +438,8 @@ class ReducedHessianOperator:
 
     @cached_property
     def reg_solver(self) -> SparseLU:
-        """LU of R*R, factored on first use, refined to backward error 1e-12."""
-        return SparseLU(self.reg, "R*R", EXACT_SOLVE_TOL)
+        """LU of R*R, factored on first use."""
+        return SparseLU(self.reg, "R*R")
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=np.float64)
@@ -484,13 +482,11 @@ def regularization_prec_operator(h: ReducedHessianOperator) -> Operator:
 
 
 def synthesize_data(ops: ProblemOperators, q_true: np.ndarray) -> np.ndarray:
-    """Noise-free observations of the state generated by q_true; the forward
-    solve meets ||A u - W q|| <= EXACT_SOLVE_TOL * (||A||_F ||u|| + ||W q||)
-    or raises.
+    """Noise-free observations of the state generated by q_true.
 
     A is factored here, by the same call as ops.forward_solver, and the LU
     is freed on return: it would otherwise stay alive through the
     reference factorization, while only the reduced-Hessian CG reads A's
     LU later."""
-    u_true = _forward_lu(ops.forward)(ops.mass @ np.asarray(q_true, dtype=np.float64))
+    u_true = SparseLU(ops.forward, "forward")(ops.mass @ np.asarray(q_true, dtype=np.float64))
     return ops.observation @ u_true

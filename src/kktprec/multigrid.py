@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .sparse import EXACT_SOLVE_TOL, SparseLU
+from .sparse import SparseLU
 
 
 def prolongation(nx: int, ny: int) -> sp.csr_matrix:
@@ -55,7 +55,7 @@ class Cycle:
             self.prolongations.append(p)
             self.restrictions.append(p.T.tocsr())  # p.T would build a new matrix per call
         self.smoothers = [(1.0 / m.diagonal(), gershgorin_bound(m)) for m in self.matrices[:-1]]
-        self.coarse = SparseLU(self.matrices[-1], name, EXACT_SOLVE_TOL)
+        self.coarse = SparseLU(self.matrices[-1], name)
 
     @property
     def levels(self) -> int:

@@ -1,5 +1,14 @@
-"""The cached sparse direct solver behind every exact solve, and the
-iterative refinement it runs.
+"""The cached sparse direct solver behind every exact solve, and the one
+contract every such solve meets.
+
+A SparseLU solve is refined against its matrix m until the normwise
+backward error ||m x - r|| / (||m||_F ||x|| + ||r||) is at most
+EXACT_SOLVE_TOL, or raises RefinementError. Neither the target nor the
+number of rounds is a parameter: "exact" means the same thing for every
+solve in the package. A plain ||r - m x|| <= tol ||r|| target is held
+nowhere, since float64 cannot reach it once cond(m) exceeds about 1/tol
+(Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 7
+and 12).
 
 Sparse operators throughout the package are canonical scipy CSR matrices
 (sorted column indices, no duplicate entries, float64 data) and are used
@@ -23,46 +32,7 @@ class SingularMatrixError(ValueError):
 
 
 class RefinementError(RuntimeError):
-    """Iterative refinement failed to reach the requested backward error."""
-
-
-def refine(
-    matvec,
-    solve,
-    x: np.ndarray,
-    b: np.ndarray,
-    tol: float,
-    norm_m: float,
-    max_rounds: int = 5,
-):
-    """Refine x until the normwise backward error ||r|| / (||M||*||x|| + ||b||)
-    is <= tol; raises RefinementError if max_rounds do not get there.
-
-    A plain ||r|| <= tol*||b|| target would be unreachable in double
-    precision once cond(M) exceeds ~1/tol, so no solve is held to it
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 7 and 12).
-
-    Each 2-norm is taken as sqrt(v @ v), the value np.linalg.norm returns
-    for a 1-D float64 vector, without its dispatch.
-    """
-    norm_b = math.sqrt(b @ b)
-    if norm_b == 0.0:
-        return np.zeros_like(b)
-
-    def backward_error(xk, rk):
-        return math.sqrt(rk @ rk) / (norm_m * math.sqrt(xk @ xk) + norm_b)
-
-    for _ in range(max_rounds):
-        r = b - matvec(x)
-        if backward_error(x, r) <= tol:
-            return x
-        x = x + solve(r)
-    r = b - matvec(x)
-    err = backward_error(x, r)
-    if err <= tol:
-        return x
-    raise RefinementError(f"refinement stalled at backward error {err:.3e} (target {tol:.1e})")
+    """Iterative refinement failed to reach the exact-solve contract."""
 
 
 # SuperLU settings for a matrix whose diagonal blocks are SPD: a minimum
@@ -71,9 +41,10 @@ def refine(
 SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-# The contract of every exact solve: a refined SparseLU's normwise backward
-# error is at most this.
+# The exact-solve contract: the backward error every SparseLU solve meets,
+# and the corrections after the first LU solve it may take to get there.
 EXACT_SOLVE_TOL = 1e-12
+REFINEMENT_ROUNDS = 5
 
 
 class SparseLU:
@@ -96,19 +67,17 @@ class SparseLU:
     format as ``matrix`` for refinement, is the only copy of itself while
     SuperLU runs.
 
-    Every solve is refined against m, so a tiny pivot either refines to
-    the contract or raises RefinementError, and so does a CSR m that
-    breaks the symmetry contract. Refinement stops on the normwise
-    backward error ||m x - r|| / (||m||_F ||x|| + ||r||) <= tol. name
-    labels the matrix in SingularMatrixError and RefinementError messages.
+    Every solve is refined against m to the module's contract, so a tiny
+    pivot either refines to it or raises RefinementError, and so does a
+    CSR m that breaks the symmetry contract. name labels the matrix in
+    SingularMatrixError and RefinementError messages.
     """
 
-    def __init__(self, m, name: str, tol: float, ordered: bool = False):
+    def __init__(self, m, name: str, ordered: bool = False):
         import scipy.sparse.linalg as spla
 
         self.name = name
         self.matrix = m
-        self._tol = tol
         self._norm = float(spla.norm(m))
         options = dict(SYMMETRIC_MODE, permc_spec="NATURAL") if ordered else SYMMETRIC_MODE
         try:
@@ -119,8 +88,23 @@ class SparseLU:
             raise SingularMatrixError(f"{name} matrix: {exc}") from exc
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
+        """x with m x = r to backward error EXACT_SOLVE_TOL: one LU solve,
+        then up to REFINEMENT_ROUNDS corrections. Each 2-norm is taken as
+        sqrt(v @ v), the value np.linalg.norm returns for a 1-D float64
+        vector, without its dispatch."""
         r = np.asarray(r, dtype=np.float64)
-        try:
-            return refine(self.matrix.dot, self._lu.solve, self._lu.solve(r), r, self._tol, self._norm)
-        except RefinementError as exc:
-            raise RefinementError(f"{self.name} solve: {exc}") from exc
+        norm_r = math.sqrt(r @ r)
+        if norm_r == 0.0:
+            return np.zeros_like(r)
+        x = self._lu.solve(r)
+        for rounds in range(REFINEMENT_ROUNDS + 1):
+            residual = r - self.matrix.dot(x)
+            err = math.sqrt(residual @ residual) / (self._norm * math.sqrt(x @ x) + norm_r)
+            if err <= EXACT_SOLVE_TOL:
+                return x
+            if rounds < REFINEMENT_ROUNDS:
+                x = x + self._lu.solve(residual)
+        raise RefinementError(
+            f"{self.name} solve: refinement stalled at backward error {err:.3e} "
+            f"(target {EXACT_SOLVE_TOL:.1e})"
+        )

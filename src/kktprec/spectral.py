@@ -146,14 +146,10 @@ def _cholesky(m: np.ndarray, name: str) -> np.ndarray:
 
 def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L^(-1) b (trtrs), written over b where LAPACK can: callers pass b
-    only when nothing reads it afterwards."""
+    only when nothing reads it afterwards. potrf returns every factor in
+    Fortran order; the f2py wrapper copies a C-ordered one to it."""
     (trtrs,) = get_lapack_funcs(("trtrs",), (l, b))
-    if l.flags.f_contiguous:
-        x, info = trtrs(l, b, overwrite_b=1, lower=1, trans=0, unitdiag=0)
-    else:
-        # trtrs reads Fortran order, in which a C-ordered L is the upper
-        # factor L^T: solve (L^T)^T x = b on that view, as scipy does.
-        x, info = trtrs(l.T, b, overwrite_b=1, lower=0, trans=1, unitdiag=0)
+    x, info = trtrs(l, b, overwrite_b=1, lower=1, trans=0, unitdiag=0)
     _lapack_ok(info, "trtrs")
     return x
 

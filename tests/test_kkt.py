@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from helpers import make_instance, probe_columns, record_factors
-from kktprec import kkt
+from kktprec import kkt, sparse
 from kktprec.config import (
     BDAL_EXACT,
     BDAL_KINDS,
@@ -34,7 +35,7 @@ from kktprec.kkt import (
 )
 from kktprec.krylov import minres, pcg
 from kktprec.mesh import build_mesh, nested_dissection_order
-from kktprec.sparse import SingularMatrixError, SparseLU
+from kktprec.sparse import RefinementError, SingularMatrixError, SparseLU
 
 
 def test_zero_data_zero_solution(kkt_2x2):
@@ -154,7 +155,7 @@ def test_rho_default_scaling_with_alpha(kkt_2x2):
 
 
 def test_bdal_variants_reach_same_solution(kkt_2x2):
-    ref = reference_solution(kkt_2x2, tol=1e-12)
+    ref = reference_solution(kkt_2x2)
     sols = {}
     for kind in (BDAL_EXACT, BDAL_LUMPED_EXACT, BDAL_LUMPED_INEXACT):
         p = build_preconditioner(kkt_2x2, kind)
@@ -389,6 +390,25 @@ def test_permuted_systems_are_built_straight_into_csc(nx, ny, log_alpha):
     assert len(views) == len(made.inputs) - 2
     for m in views:
         assert m.format == "csc" and (m != m.T).nnz == 0
+
+
+def test_reference_solution_holds_the_exact_solve_contract(kkt_2x2, monkeypatch):
+    # The reference has no tolerance of its own: below what float64 can
+    # reach, the shared contract makes it raise, naming the KKT system.
+    monkeypatch.setattr(sparse, "EXACT_SOLVE_TOL", 1e-30)
+    stalled = r"^KKT solve: refinement stalled at backward error .* \(target 1\.0e-30\)$"
+    with pytest.raises(RefinementError, match=stalled):
+        reference_solution(kkt_2x2)
+
+
+def test_default_rho_is_one_rule_for_config_and_library(kkt_2x2):
+    # alpha ** 0.5 (libm pow) gives 0.0014063597863825362 here, one ulp
+    # above the correctly rounded sqrt.
+    alpha = 1.9778478487539325e-06
+    sys = build_kkt(kkt_2x2.ops, alpha=alpha, y=kkt_2x2.y)
+    cfg = ExperimentConfig()
+    for kind in BDAL_KINDS:
+        assert cfg.rho_for(alpha) == build_preconditioner(sys, kind).rho == math.sqrt(alpha), kind
 
 
 def test_reference_solution_backward_error_small_alpha():

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from kktprec.sparse import SparseLU
 m = sp.csr_matrix(np.array([[4.0, 1.0], [1.0, 3.0]]))
-x = SparseLU(m, "probe", 1e-12)(np.array([1.0, 2.0]))
+x = SparseLU(m, "probe")(np.array([1.0, 2.0]))
 assert loaded(), "SparseLU did not load scipy.sparse.linalg"
 assert np.allclose(m @ x, [1.0, 2.0], rtol=0.0, atol=1e-14)
 """

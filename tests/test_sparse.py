@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import make_instance
+from kktprec import sparse
 from kktprec.fem import _from_coo
-from kktprec.kkt import NonpositiveDiagonalError, _forward_lu, _triple_product
+from kktprec.kkt import NonpositiveDiagonalError, _triple_product
 from kktprec.sparse import RefinementError, SingularMatrixError, SparseLU
 
 
@@ -105,8 +106,9 @@ def test_assembled_operators_are_canonical_csr(nx, ny, n_obs, alpha):
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, st.integers(0, 300), elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_vector_norm_is_sqrt_of_dot(v):
-    # refine and the Krylov error history take every 2-norm this way and
-    # rely on it giving np.linalg.norm's bits; both overflow to inf alike.
+    # SparseLU's refinement and the Krylov error history take every 2-norm
+    # this way and rely on it giving np.linalg.norm's bits; both overflow
+    # to inf alike.
     with np.errstate(over="ignore"):
         assert math.sqrt(v @ v) == float(np.linalg.norm(v))
 
@@ -117,9 +119,9 @@ def test_sparse_lu_solves_and_refines():
     dense[np.abs(dense) < 0.8] = 0.0
     m = sp.csc_matrix(dense)
     b = rng.standard_normal(12)
-    x = SparseLU(m, "test", 1e-12)(b)
+    x = SparseLU(m, "test")(b)
     assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
-    assert np.all(SparseLU(m, "test", 1e-12)(np.zeros(12)) == 0.0)
+    assert np.all(SparseLU(m, "test")(np.zeros(12)) == 0.0)
 
 
 def test_sparse_lu_ordered_keeps_the_given_order(factors):
@@ -127,7 +129,7 @@ def test_sparse_lu_ordered_keeps_the_given_order(factors):
     dense = np.diag(np.full(10, 4.0)) + np.diag(np.full(9, -1.0), 1) + np.diag(np.full(9, -1.0), -1)
     dense[0, 9] = dense[9, 0] = -1.0
     b = rng.standard_normal(10)
-    x = SparseLU(sp.csr_matrix(dense), "test", 1e-12, ordered=True)(b)
+    x = SparseLU(sp.csr_matrix(dense), "test", ordered=True)(b)
     norm = np.linalg.norm
     assert norm(dense @ x - b) <= 1e-12 * (norm(dense) * norm(x) + norm(b))
     assert np.array_equal(factors[-1].perm_c, np.arange(10))
@@ -137,13 +139,14 @@ def test_sparse_lu_ordered_keeps_the_given_order(factors):
 def test_sparse_lu_singular_names_matrix():
     m = sp.diags([1.0, 0.0, 2.0], format="csr")
     with pytest.raises(SingularMatrixError, match="block 2 matrix"):
-        SparseLU(m, "block 2", 1e-12)
+        SparseLU(m, "block 2")
 
 
-def test_sparse_lu_stalled_refinement_reports_error():
+def test_sparse_lu_stalled_refinement_reports_error(monkeypatch):
     rng = np.random.default_rng(32)
     m = sp.csc_matrix(rng.standard_normal((8, 8)) + 8.0 * np.eye(8))
-    solver = SparseLU(m, "forward", 1e-30)
+    solver = SparseLU(m, "forward")
+    monkeypatch.setattr(sparse, "EXACT_SOLVE_TOL", 1e-30)
     with pytest.raises(RefinementError, match=r"forward solve: refinement stalled at backward error \d"):
         solver(rng.standard_normal(8))
 
@@ -154,7 +157,7 @@ def test_sparse_lu_refinement_catches_nonsymmetric_csr():
     # then stalls here instead of returning a wrong solution.
     m = sp.csr_matrix([[1.0, 4.0], [0.0, 1.0]])
     for ordered in (False, True):
-        solver = SparseLU(m, "probe", 1e-12, ordered=ordered)
+        solver = SparseLU(m, "probe", ordered=ordered)
         with pytest.raises(RefinementError, match="probe solve: refinement stalled"):
             solver(np.array([1.0, 2.0]))
 
@@ -171,7 +174,7 @@ TINY_PIVOT = {
 def test_sparse_lu_tiny_pivot_refines_or_raises(case):
     dense = np.array(TINY_PIVOT[case])
     rng = np.random.default_rng(33)
-    solver = SparseLU(sp.csr_matrix(dense), "tiny", 1e-12)
+    solver = SparseLU(sp.csr_matrix(dense), "tiny")
     for _ in range(5):
         b = rng.standard_normal(dense.shape[0])
         try:
@@ -193,7 +196,7 @@ def test_forward_lu_meets_backward_error_where_relative_residual_cannot():
     eigenvalues, eigenvectors = np.linalg.eigh(dense)
     assert eigenvalues[-1] / eigenvalues[0] >= 1e13
     b = eigenvectors[:, 0]
-    x = _forward_lu(sp.csr_matrix(dense))(b)
+    x = SparseLU(sp.csr_matrix(dense), "forward")(b)
     norm = np.linalg.norm
     r = norm(dense @ x - b)
     assert r > 1e-12 * norm(b)
