@@ -19,20 +19,36 @@ by an orthogonal block-diagonal factor, so it has the same spectrum, and F
 and G the same singular values. beta^2 is lambda_max(G^T Q_reg G), which
 shares the nonzero spectrum of Q_reg Q_data.
 
+A sixth check is proven too: E has inertia (2n, n, 0). K's (q, u) block
+diag(alpha R*R, B*B) is positive definite on the null space of [-W A], so
+K has 2n positive and n negative eigenvalues (Gould, Math. Prog. 32, 1985;
+Benzi, Golub and Liesen, Acta Numerica 14, 2005, sec. 3), and so has the
+congruent E (Sylvester). The check reads lambda_n(E) < 0 < lambda_(n+1)(E).
+
+The checks read seven eigenvalues, not whole spectra: lambda_1, lambda_n,
+lambda_(n+1) and lambda_3n of E, and one extreme eigenvalue of each of
+three n x n symmetric matrices. Each matrix is reduced once to tridiagonal
+form, and the eigenvalues asked for are found there by bisection, in O(n)
+work each (Demmel, Applied Numerical Linear Algebra, SIAM 1997, ch. 5).
+sigma_max(E) = max(-lambda_1, lambda_3n). sigma_min(E) is
+s = min(|lambda_n|, |lambda_(n+1)|) when the inertia holds; any eigenvalue
+nearer 0 lies in (-s, s], which one bisection by value searches, so
+sigma_min(E) is min |lambda| whether or not the inertia check passes.
+
 Working set: E (9 n^2 doubles) is allocated first and each block written
 as soon as its dense factors exist, so forming it holds at most two n x n
 factors and the temporaries of one block beside it. The n x n
 checks then read F and G as views of E and hold a few n x n products at
-a time. E's eigenvalues come last, solved on E's own storage, so that
-solve holds E alone.
+a time. E is tridiagonalized last, on its own storage, so that reduction
+holds E alone.
 
 For the exact BDAL preconditioner the last two checks hold with equality.
 Y Y^T = Q_reg + Q_data, so sigma_min(Y)^2 = 2 delta; and X + Y^T Y =
 [[I, F^T G], [G^T F, I]] has lambda_min = 1 - sigma_max(F^T G) = 1 - beta,
 taken from one n x n SVD. Each is computed by another route than the
 constant it checks, so on assembled instances they test rounding (gaps of
-about 1e-15 and 5e-14 relative on the theory grid), not the theory; they
-stay as consistency checks on the measured delta and beta.
+at most 1.4e-16 and 1.3e-14 relative on the theory grid), not the
+theory; they stay as consistency checks on the measured delta and beta.
 """
 
 from __future__ import annotations
@@ -117,11 +133,14 @@ def sigma_min_bound(c: AmGmConstants) -> float:
 
 
 # The kernels call LAPACK (Anderson et al., LAPACK Users' Guide, 3rd ed.,
-# SIAM 1999) with the routines and arguments that scipy.linalg's
-# cholesky, solve_triangular, eigh(driver="evd") and svdvals pass, so the
-# results are bit for bit theirs. The wrappers' input check reads
-# numpy.ma.isMaskedArray, which would import numpy.ma in every verifying
-# process; the arrays here are the verifier's own float64 temporaries.
+# SIAM 1999) directly. potrf, trtrs and gesdd get the routines and
+# arguments that scipy.linalg's cholesky, solve_triangular and svdvals
+# pass, so those results are bit for bit theirs. The eigenvalues come from
+# sytrd (tridiagonal reduction) and stebz (bisection), which give the
+# eigenvalues of a full eigensolve to rounding, not its bits. The wrappers'
+# input check reads numpy.ma.isMaskedArray, which would import numpy.ma in
+# every verifying process; the arrays here are the verifier's own float64
+# temporaries.
 
 
 def _lapack_ok(info: int, routine: str) -> None:
@@ -154,18 +173,37 @@ def _solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric a from its lower triangle
-    (syevd), written over a: callers pass a Fortran-ordered array that
-    nothing reads afterwards."""
-    syevd, syevd_lwork = get_lapack_funcs(("syevd", "syevd_lwork"), (a,))
-    lwork, liwork, info = syevd_lwork(n=a.shape[0], lower=1, compute_v=0)
-    _lapack_ok(info, "syevd_lwork")
-    w, _, info = syevd(
-        a=a, overwrite_a=1, lower=1, compute_v=0, lwork=int(lwork.real), liwork=int(liwork)
-    )
-    _lapack_ok(info, "syevd")
-    return w
+def _tridiagonal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and subdiagonal of T = Q^T a Q for the symmetric a (sytrd),
+    written over a: callers pass a C-ordered temporary that nothing reads
+    afterwards, whose transpose is the Fortran-ordered view LAPACK reads
+    (its lower triangle) without a copy."""
+    sytrd, sytrd_lwork = get_lapack_funcs(("sytrd", "sytrd_lwork"), (a,))
+    lwork, info = sytrd_lwork(n=a.shape[0], lower=1)
+    _lapack_ok(info, "sytrd_lwork")
+    _, d, e, _, info = sytrd(a.T, lower=1, lwork=int(lwork), overwrite_a=1)
+    _lapack_ok(info, "sytrd")
+    return d, e
+
+
+def _bisect(
+    t: tuple[np.ndarray, np.ndarray], lo: float, hi: float, by_value: bool = False
+) -> np.ndarray:
+    """Eigenvalues, ascending, of the tridiagonal t by bisection (stebz):
+    those of index lo to hi (from 1), or by_value those in (lo, hi]. With
+    abstol 0 each is found to about an ulp of the norm of t, the accuracy
+    the reduction to t leaves anyway."""
+    (stebz,) = get_lapack_funcs(("stebz",), t)
+    args = (1, lo, hi, 0, 0) if by_value else (2, 0.0, 0.0, lo, hi)
+    m, w, _, _, info = stebz(*t, *args, 0.0, "E")
+    _lapack_ok(info, "stebz")
+    return w[:m]
+
+
+def _eigenvalue(a: np.ndarray, i: int) -> float:
+    """The i-th smallest eigenvalue (from 1) of the symmetric a, written
+    over a."""
+    return float(_bisect(_tridiagonal(a), i, i)[0])
 
 
 def svdvals(a: np.ndarray) -> np.ndarray:
@@ -230,35 +268,41 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
     """Numerically verify every provable bound on one assembled instance.
 
     Measures delta and beta from the dense damped projectors, then checks
-    the five bounds with relative slack SLACK. Raises TheoryViolationError
-    (carrying the report) if any fails, or if beta >= 1 or delta <= 0 makes
-    them vacuous (bound_cond is then inf).
+    the five bounds with relative slack SLACK and E's inertia exactly.
+    Raises TheoryViolationError (carrying the report) if any fails, or if
+    beta >= 1 or delta <= 0 makes the bounds vacuous (bound_cond is then
+    inf). An exact zero eigenvalue of E is recorded as cond_e = inf.
     """
     n = sys.n
     e = preconditioned_kkt_dense(sys, prec)
     # The n x n checks read views of E's coupling rows Y = [F G], so they
-    # run before the eigensolve overwrites E.
+    # run before the tridiagonalization overwrites E.
     y = e[2 * n :, : 2 * n]
     f, g = y[:, :n], y[:, n:]
     q_reg = f @ f.T
-    delta = 0.5 * float(np.linalg.eigvalsh(q_reg + g @ g.T)[0])
+    delta = 0.5 * _eigenvalue(q_reg + g @ g.T, 1)
     # Q_reg Q_data = (F F^T G) G^T shares its nonzero spectrum with G^T Q_reg G.
-    beta_sq = float(np.linalg.eigvalsh(g.T @ q_reg @ g)[-1])
-    beta = math.sqrt(max(beta_sq, 0.0))
+    beta = math.sqrt(max(_eigenvalue(g.T @ q_reg @ g, n), 0.0))
     del q_reg
 
-    sigma_min_y = float(np.sqrt(max(np.linalg.eigvalsh(y @ y.T)[0], 0.0)))
+    sigma_min_y = math.sqrt(max(_eigenvalue(y @ y.T, 1), 0.0))
     # lambda_min([[I, F^T G], [G^T F, I]]) = 1 - sigma_max(F^T G)
     lambda_min_coercivity = 1.0 - float(svdvals(f.T @ g)[0])
     del y, f, g
 
-    # E is exactly symmetric, so e.T is a Fortran-ordered view of it that
-    # LAPACK overwrites in place, with no second 9n^2 buffer.
-    sigma = np.abs(_eigvalsh(e.T))
+    # E is exactly symmetric, so LAPACK reduces it in place, with no second
+    # 9n^2 buffer.
+    t = _tridiagonal(e)
     del e
-    sigma_max = float(sigma.max())
-    sigma_min = float(sigma.min())
-    cond = sigma_max / sigma_min
+    (lam_1,), (lam_n, lam_n1), (lam_3n,) = (
+        _bisect(t, lo, hi).tolist() for lo, hi in ((1, 1), (n, n + 1), (3 * n, 3 * n))
+    )
+    sigma_max = max(-lam_1, lam_3n)
+    # With n negative eigenvalues, sigma_min(E) = min(-lambda_n, lambda_n+1).
+    # Any eigenvalue nearer 0 than both lies in (-s, s].
+    s = min(abs(lam_n), abs(lam_n1))
+    sigma_min = s if s == 0.0 else float(np.abs(_bisect(t, -s, s, by_value=True)).min(initial=s))
+    cond = sigma_max / sigma_min if sigma_min > 0.0 else math.inf
 
     constants = AmGmConstants(delta=delta, beta=beta)
     bound_sigma = sigma_min_bound(constants)
@@ -279,6 +323,9 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
         lambda_min_coercivity=lambda_min_coercivity,
     )
 
+    # delta <= 0 is recorded as vacuous below; check 4's bound is then 0.
+    root_2delta = math.sqrt(max(2.0 * delta, 0.0))
+
     def leq(lhs, rhs):
         return lhs <= rhs + SLACK * max(1.0, abs(rhs))
 
@@ -287,12 +334,17 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
         (f"sigma_min(E) = {sigma_min:.12g} >= {bound_sigma:.12g}", leq(bound_sigma, sigma_min)),
         (f"cond(E) = {cond:.12g} <= {bound_c:.12g}", leq(cond, bound_c)),
         (
-            f"sigma_min(Y) = {sigma_min_y:.12g} >= sqrt(2 delta) = {math.sqrt(2*delta):.12g}",
-            leq(math.sqrt(2.0 * delta), sigma_min_y),
+            f"sigma_min(Y) = {sigma_min_y:.12g} >= sqrt(2 delta) = {root_2delta:.12g}",
+            leq(root_2delta, sigma_min_y),
         ),
         (
             f"lambda_min(X + YtY) = {lambda_min_coercivity:.12g} >= 1 - beta = {1-beta:.12g}",
             leq(1.0 - beta, lambda_min_coercivity),
+        ),
+        (
+            f"inertia(E) = ({2 * n}, {n}, 0): "
+            f"lambda_{n}(E) = {lam_n:.12g} < 0 < lambda_{n + 1}(E) = {lam_n1:.12g}",
+            lam_n < 0.0 < lam_n1,
         ),
         (f"beta = {beta:.12g}, delta = {delta:.12g}: the bounds are vacuous", not vacuous),
     ]

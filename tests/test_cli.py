@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from kktprec import harness
+from kktprec import harness, spectral
 from kktprec.cli import EXIT_ERROR, EXIT_OK, EXIT_THEORY_VIOLATION, main
 from kktprec.formats import read_observations, read_pgm
 
@@ -165,6 +165,60 @@ def test_verify_theory_records_a_vacuous_instance_and_continues(tmp_path, capsys
         rows = list(csv.DictReader(fh))
     assert [row["pass"] for row in rows] == ["true", "false"]
     assert [row["bound-cond"] == "inf" for row in rows] == [False, True]
+
+
+def test_verify_theory_records_a_nonpositive_delta(tmp_path, capsys):
+    # At rho 1e-20 rounding measures delta = -2.2e-16. Check 4's bound
+    # sqrt(2 delta) once raised "math domain error" here, before the
+    # instance could be recorded as vacuous.
+    out = str(tmp_path)
+    code = main(
+        [
+            "verify-theory", "--out", out,
+            "--set", "nx = 6",
+            "--set", "ny = 4",
+            "--set", "alpha = 1",
+            "--set", "rho = 1e-20",
+            "--set", "n_obs = 20",
+        ]
+    )
+    assert code == EXIT_THEORY_VIOLATION
+    assert "alpha1-obs20: VIOLATION" in capsys.readouterr().out
+    with open(os.path.join(out, "theory.csv")) as fh:
+        (row,) = csv.DictReader(fh)
+    assert float(row["delta"]) <= 0.0
+    assert (row["pass"], row["bound-cond"]) == ("false", "inf")
+
+
+def test_verify_theory_records_a_zero_eigenvalue_of_e(tmp_path, capsys, monkeypatch):
+    # An exact zero lambda_n(E) makes sigma_min(E) = 0; cond(E) = sigma_max /
+    # sigma_min once raised ZeroDivisionError, which main does not catch.
+    real = spectral._bisect
+
+    def zero_lambda_n(t, lo, hi, by_value=False):
+        w = real(t, lo, hi, by_value)
+        if not by_value and hi == lo + 1:
+            w[0] = 0.0
+        return w
+
+    monkeypatch.setattr(spectral, "_bisect", zero_lambda_n)
+    out = str(tmp_path)
+    code = main(
+        [
+            "verify-theory", "--out", out,
+            "--set", "nx = 3",
+            "--set", "ny = 2",
+            "--set", "alpha = 1e-2, 1e-4",
+            "--set", "n_obs = 4",
+        ]
+    )
+    assert code == EXIT_THEORY_VIOLATION
+    assert capsys.readouterr().out.count(": VIOLATION cond(E)=inf ") == 2
+    with open(os.path.join(out, "theory.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(row["sigma-min-e"], row["cond-e"], row["pass"]) for row in rows] == [
+        ("0", "inf", "false")
+    ] * 2
 
 
 def test_missing_config_file_is_error(tmp_path, capsys):

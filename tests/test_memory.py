@@ -46,12 +46,13 @@ os.wait()
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
 def test_verifier_peak_rss_growth_in_n_squared_doubles():
-    # E alone is 9 n^2 doubles. The growth reads 26.7-26.9 n^2 at 20x14,
+    # E alone is 9 n^2 doubles. The growth reads 25.1-25.4 n^2 at 20x14,
     # with the peak in the n x n checks on views of E (E, their products,
     # dense factors and temporaries freed to the allocator while E was
-    # formed). With every factor of E alive until E was full and a copy of
-    # Y held through the eigensolve it read 26.9-27.1, and with a second
-    # copy of E for the eigensolve 33.7.
+    # formed); it read 26.2-26.4 with each n x n check a full eigensolve.
+    # With every factor of E alive until E was full and a copy of Y held
+    # through the eigensolve it read 26.9-27.1, and with a second copy of E
+    # for the eigensolve 33.7.
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(kktprec.__file__)))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -431,37 +431,82 @@ def test_coercivity_violation_raises(kkt_2x2, monkeypatch):
     assert exc.value.report.lambda_min_coercivity == 1.0 - (beta + 1e-6)
 
 
-# --- LAPACK calls against scipy.linalg's wrappers ---------------------------
+def test_inertia_violation_raises_and_sigma_min_is_still_exact():
+    # At alpha 1e-24 rounding gives E 37 negative eigenvalues, not n = 35:
+    # lambda_35 and lambda_36 are both negative, and the eigenvalue nearest
+    # 0 is lambda_38 = 4.9e-11, far below min(|lambda_35|, |lambda_36|) =
+    # 4.8e-9.
+    sys = make_instance(nx=6, ny=4, n_obs=20, alpha=1e-24)
+    p = build_preconditioner(sys, BDAL_EXACT)
+    lam = np.linalg.eigvalsh(preconditioned_kkt_dense(sys, p))
+    n = sys.n
+    assert np.count_nonzero(lam < 0.0) == n + 2
+    with pytest.raises(TheoryViolationError, match=r"^inertia\(E\) = \(70, 35, 0\): ") as exc:
+        verify_spectral_bounds(sys, p)
+    want = np.abs(lam).min()
+    assert min(abs(lam[n - 1]), abs(lam[n])) - want > 1e-9
+    assert abs(exc.value.report.sigma_min_e - want) <= 1e-13 * np.abs(lam).max()
+
+
+# --- LAPACK calls against scipy.linalg --------------------------------------
 
 def _wrapper_kernels(monkeypatch):
-    """Put scipy.linalg's cholesky, solve_triangular, eigh(driver="evd") and
-    svdvals, called as the verifier called them before it went to LAPACK
-    directly, in place of its kernels."""
+    """Put scipy.linalg's cholesky, solve_triangular and svdvals, called as
+    the verifier called them before it went to LAPACK directly, in place of
+    its kernels."""
     def cholesky(m, name):
         return sla.cholesky(m, lower=True, overwrite_a=True, check_finite=False)
 
     def solve_lower(l, b):
         return sla.solve_triangular(l, b, lower=True, overwrite_b=True, check_finite=False)
 
-    def eigvalsh(a):
-        return sla.eigh(a, eigvals_only=True, overwrite_a=True, check_finite=False, driver="evd")
-
     monkeypatch.setattr(spectral, "_cholesky", cholesky)
     monkeypatch.setattr(spectral, "_solve_lower", solve_lower)
-    monkeypatch.setattr(spectral, "_eigvalsh", eigvalsh)
     monkeypatch.setattr(spectral, "svdvals", lambda a: sla.svdvals(a, check_finite=False))
 
 
 @pytest.mark.parametrize("nx, ny", [(6, 4), (10, 7)])
 @pytest.mark.parametrize("alpha", [1e-2, 1e-6])
 def test_lapack_kernels_reproduce_scipy_wrappers(nx, ny, alpha, monkeypatch):
-    # Every field is equal, not close: a wrong lower flag or a syevd lwork
-    # below the blocked size moves the report.
+    # Every field is equal, not close: a wrong lower flag in potrf or trtrs
+    # moves the report.
     sys = make_instance(nx=nx, ny=ny, n_obs=50, alpha=alpha)
     p = build_preconditioner(sys, BDAL_EXACT)
     report = verify_spectral_bounds(sys, p)
     _wrapper_kernels(monkeypatch)
     assert report == verify_spectral_bounds(sys, p)
+
+
+@pytest.mark.parametrize("kind", ["definite", "indefinite", "E"])
+def test_bisection_matches_dense_eigensolve(kind):
+    # The eigenvalues the verifier selects, by index and by value, against
+    # scipy.linalg.eigh on the whole matrix, to 1e-13 of max |lambda|. The
+    # matrix is passed as C-ordered arrays are: its transpose is reduced.
+    a = np.random.default_rng(11).standard_normal((160, 160))
+    if kind == "definite":
+        a = a @ a.T + 1e-3 * np.eye(160)
+    elif kind == "indefinite":
+        a = a + a.T
+    else:
+        sys = make_instance(nx=10, ny=7, n_obs=50, alpha=1e-6)
+        a = preconditioned_kkt_dense(sys, build_preconditioner(sys, BDAL_EXACT))
+    want = sla.eigh(a, eigvals_only=True)
+    tol = 1e-13 * np.abs(want).max()
+    size = a.shape[0]
+    t = spectral._tridiagonal(a.copy())
+    for lo, hi in ((1, 1), (size // 3, size // 3 + 1), (size, size), (1, size)):
+        got = spectral._bisect(t, lo, hi)
+        assert got.shape == (hi - lo + 1,)
+        assert np.all(np.abs(got - want[lo - 1 : hi]) <= tol)
+    # (lo, hi] between the widest gaps of each half, so that no eigenvalue
+    # lies within rounding of an end
+    gaps = np.diff(want)
+    k, m = np.argmax(gaps[: size // 2]), size // 2 + np.argmax(gaps[size // 2 :])
+    lo, hi = 0.5 * (want[k] + want[k + 1]), 0.5 * (want[m] + want[m + 1])
+    got = spectral._bisect(t, lo, hi, by_value=True)
+    assert got.shape == (m - k,)
+    assert np.all(np.abs(got - want[k + 1 : m + 1]) <= tol)
+    assert abs(spectral._eigenvalue(a.copy(), size // 2) - want[size // 2 - 1]) <= tol
 
 
 def test_lapack_kernels_match_wrappers_on_their_other_paths(monkeypatch):
@@ -491,11 +536,12 @@ def test_lapack_kernels_match_wrappers_on_their_other_paths(monkeypatch):
     monkeypatch.setattr(spectral, "get_lapack_funcs", recording)
     spectral._cholesky(a @ a.T + 160.0 * np.eye(160), "P")
     spectral._solve_lower(l, b.copy())
-    spectral._eigvalsh(np.asfortranarray(a + a.T))
+    spectral._eigenvalue(a + a.T, 1)
     spectral.svdvals(a)
     assert requests == [
         (("potrf",), False),
         (("trtrs",), False),
-        (("syevd", "syevd_lwork"), False),
+        (("sytrd", "sytrd_lwork"), False),
+        (("stebz",), False),
         (("gesdd", "gesdd_lwork"), "preferred"),
     ]
