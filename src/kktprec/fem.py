@@ -15,10 +15,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .config import DEFAULT_NITSCHE_GAMMA, DEFAULT_REG_SHIFT
 from .mesh import MeshParameterError, NodalField, ObservationSet, PointLocationError, TriMesh
-
-DEFAULT_NITSCHE_GAMMA = 10.0
-DEFAULT_REG_SHIFT = 0.1
 
 
 class NonpositiveLumpedMassError(ValueError):

@@ -39,11 +39,11 @@ from .formats import (
 from .kkt import (
     KktSystem,
     ProblemOperators,
+    ReducedHessianOperator,
     assemble_problem,
     build_kkt,
     build_preconditioner,
     kkt_operator,
-    reduced_hessian,
     reference_solution,
     regularization_prec_operator,
     synthesize_data,
@@ -229,7 +229,7 @@ def solve_one(
             target=target,
         )
     elif kind == REDUCED_REGULARIZATION:
-        h = reduced_hessian(sys)
+        h = ReducedHessianOperator(sys)
         report = pcg(
             h.as_operator(),
             regularization_prec_operator(h),

@@ -78,10 +78,16 @@ import numpy as np
 import scipy.sparse as sp
 
 # perfbench/traced.py imports REDUCED_REGULARIZATION from kktprec.kkt.
-from .config import BDAL_EXACT, BDAL_KINDS, BDAL_LUMPED_EXACT, REDUCED_REGULARIZATION, default_rho
-from .fem import (
+from .config import (
+    BDAL_EXACT,
+    BDAL_KINDS,
+    BDAL_LUMPED_EXACT,
     DEFAULT_NITSCHE_GAMMA,
     DEFAULT_REG_SHIFT,
+    REDUCED_REGULARIZATION,
+    default_rho,
+)
+from .fem import (
     assemble_mass,
     assemble_observation,
     assemble_regularization,
@@ -206,7 +212,7 @@ class KktSystem:
 
     @property
     def n(self) -> int:
-        return self.mass.shape[0]
+        return self.ops.n
 
     @property
     def dim(self) -> int:
@@ -355,8 +361,8 @@ def build_preconditioner(
     matrix and each coarsest multigrid level, is exactly symmetric CSR,
     which SparseLU factors through its transpose view.
 
-    inner_tol is read by no kind. It is still accepted, and checked to lie
-    in (0, 1), because the benchmark's traced replica passes it.
+    inner_tol is read by no kind and not checked. It is still accepted
+    because the benchmark's traced replica passes it.
     """
     if kind not in BDAL_KINDS:
         raise UnknownPreconditionerError(
@@ -367,8 +373,6 @@ def build_preconditioner(
         rho = default_rho(sys.alpha)
     if rho <= 0.0:
         raise ValueError("rho must be positive")
-    if not (0.0 < inner_tol < 1.0):
-        raise ValueError("inner_tol must lie in (0, 1)")
     n = sys.n
 
     if kind == BDAL_EXACT:
@@ -423,31 +427,28 @@ class ReducedHessianOperator:
 
     Applying H does a forward solve A u = W q, observation, an adjoint solve
     (A is symmetric, so the same matrix), and a mass-weighted pullback. The
-    PDE solves use the instance's cached LU of A (forward_solver).
+    PDE solves use the instance's cached LU of A (ops.forward_solver).
     """
 
-    forward_solver: SparseLU
-    mass: sp.csr_matrix
-    btb: sp.csr_matrix
-    reg: sp.csr_matrix
-    alpha: float
+    sys: KktSystem
 
     @property
     def n(self) -> int:
-        return self.mass.shape[0]
+        return self.sys.n
 
     @cached_property
     def reg_solver(self) -> SparseLU:
         """LU of R*R, factored on first use."""
-        return SparseLU(self.reg, "R*R")
+        return SparseLU(self.sys.reg, "R*R")
 
     def apply(self, q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.n,):
             raise DimensionMismatchError(f"reduced Hessian expects length {self.n}")
-        u = self.forward_solver(self.mass @ q)
-        w = self.forward_solver(self.btb @ u)
-        return self.mass @ w + self.alpha * (self.reg @ q)
+        sys = self.sys
+        u = sys.ops.forward_solver(sys.mass @ q)
+        w = sys.ops.forward_solver(sys.btb @ u)
+        return sys.mass @ w + sys.alpha * (sys.reg @ q)
 
     def as_operator(self) -> Operator:
         return self.apply
@@ -455,17 +456,11 @@ class ReducedHessianOperator:
     def rhs(self, y: np.ndarray, observation: sp.csr_matrix) -> np.ndarray:
         """Reduced right-hand side J^T y = W A^{-1} B^T y."""
         bty = observation.T @ np.asarray(y, dtype=np.float64)
-        return self.mass @ self.forward_solver(bty)
+        return self.sys.mass @ self.sys.ops.forward_solver(bty)
 
 
-def reduced_hessian(sys: KktSystem) -> ReducedHessianOperator:
-    return ReducedHessianOperator(
-        forward_solver=sys.ops.forward_solver,
-        mass=sys.mass,
-        btb=sys.btb,
-        reg=sys.reg,
-        alpha=sys.alpha,
-    )
+# perfbench/traced.py builds the operator by this name.
+reduced_hessian = ReducedHessianOperator
 
 
 def regularization_prec_operator(h: ReducedHessianOperator) -> Operator:
@@ -476,7 +471,7 @@ def regularization_prec_operator(h: ReducedHessianOperator) -> Operator:
         r = np.asarray(r, dtype=np.float64)
         if r.shape != (h.n,):
             raise DimensionMismatchError(f"regularization preconditioner expects length {h.n}")
-        return h.reg_solver(r / h.alpha)
+        return h.reg_solver(r / h.sys.alpha)
 
     return apply
 

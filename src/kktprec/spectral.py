@@ -224,11 +224,13 @@ def _congruent(l: np.ndarray, block: sp.spmatrix) -> np.ndarray:
 
 def preconditioned_kkt_dense(sys: KktSystem, prec: Preconditioner) -> np.ndarray:
     """Dense E = L^(-1) K L^(-T) for the exact BDAL blocks P_i = L_i L_i^T
-    (desk scale only), formed from K's four nonzero blocks: the diagonal
-    X1 = L1^(-1) alpha R*R L1^(-T) and X2 = L2^(-1) BtB L2^(-T), symmetrized,
-    and the coupling F = L3^(-1) (-W) L1^(-T) and G = (L3^(-1) A) L2^(-T),
-    mirrored above the diagonal. With P3 = W / rho, P2 = BtB + rho At W^(-1) A
-    is exactly BtB + Ct C for C = L3^(-1) A.
+    (desk scale only), formed from K's four nonzero blocks, as
+    KktSystem.blocks() gives them: the diagonal X1 = L1^(-1) alpha R*R
+    L1^(-T) and X2 = L2^(-1) BtB L2^(-T), symmetrized, and the coupling
+    F = L3^(-1) (-W) L1^(-T) and G = (L3^(-1) A) L2^(-T), mirrored above
+    the diagonal. P's own mass W is sys.mass: P1 = alpha R*R + rho W and
+    P3 = W / rho, so P2 = BtB + rho At W^(-1) A is exactly BtB + Ct C for
+    C = L3^(-1) A.
 
     Each block is written into E as soon as its factors exist, and each
     n x n factor is freed after its last block: L1 after X1 and F, L3 once
@@ -241,24 +243,25 @@ def preconditioned_kkt_dense(sys: KktSystem, prec: Preconditioner) -> np.ndarray
             "dense spectral verification needs the exact-mass preconditioner "
             f"(got kind {prec.kind!r}); the provable structure requires it"
         )
+    (areg, _, neg_w), (_, btb, a) = sys.blocks()[:2]
     n, rho = sys.n, prec.rho
     q, u, eta = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
     e = np.zeros((3 * n, 3 * n))
 
     w = sys.mass.toarray(order="F")
-    l1 = _cholesky(sys.alpha * sys.reg.toarray(order="F") + rho * w, "P1")
+    l1 = _cholesky(areg.toarray(order="F") + rho * w, "P1")
     l3 = _cholesky((1.0 / rho) * w, "P3")
     del w
-    e[q, q] = _congruent(l1, sys.alpha * sys.reg)
-    e[eta, q] = _solve_lower(l1, _solve_lower(l3, (-sys.mass).toarray(order="F")).T).T
+    e[q, q] = _congruent(l1, areg)
+    e[eta, q] = _solve_lower(l1, _solve_lower(l3, neg_w.toarray(order="F")).T).T
     del l1
-    c = _solve_lower(l3, sys.forward.toarray(order="F"))
+    c = _solve_lower(l3, a.toarray(order="F"))
     del l3
 
-    l2 = _cholesky(sys.btb.toarray() + c.T @ c, "P2")
+    l2 = _cholesky(btb.toarray() + c.T @ c, "P2")
     e[eta, u] = _solve_lower(l2, c.T).T
     del c
-    e[u, u] = _congruent(l2, sys.btb)
+    e[u, u] = _congruent(l2, btb)
     del l2
     e[: 2 * n, eta] = e[eta, : 2 * n].T
     return e

@@ -1,4 +1,6 @@
 import math
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -124,7 +126,64 @@ def test_inner_tol_is_retired(tmp_path):
         load_config(str(path))
     with pytest.raises(ConfigError, match=r"<override>:1: inner_tol is retired: .*multigrid cycle"):
         load_config(None, overrides=["inner_tol = 1e-3"])
-    # The field and its range check stay for callers that pass it directly.
-    assert ExperimentConfig().inner_tol == 1e-2
-    with pytest.raises(ConfigError, match="inner_tol must lie"):
+    # Not a field: a class attribute, kept for the benchmark's replica.
+    assert "inner_tol" not in {f.name for f in fields(ExperimentConfig)}
+    assert ExperimentConfig.inner_tol == ExperimentConfig().inner_tol == 1e-2
+    with pytest.raises(TypeError):
         ExperimentConfig(inner_tol=2.0)
+
+
+# A `key = value` spelling of every ExperimentConfig field and its value.
+PARSED = {
+    "lx": ("2.5", 2.5),
+    "ly": ("0.5", 0.5),
+    "nx": ("4, 8", (4, 8)),
+    "ny": (" 3 ,6 ", (3, 6)),
+    "alpha": ("1e-2,1e-4", (1e-2, 1e-4)),
+    "rho": ("0.25", 0.25),
+    "n_obs": ("50", (50,)),
+    "seed": ("7", 7),
+    "source": ("image.pgm", "image.pgm"),
+    "preconditioners": (" bdal-exact,reduced-regularization ", ("bdal-exact", "reduced-regularization")),
+    "tol": ("1e-8", 1e-8),
+    "maxit": ("50", 50),
+    "out_dir": ("runs/a", "runs/a"),
+    "reg_shift": ("0.2", 0.2),
+    "nitsche_gamma": ("20", 20.0),
+    "target_error": ("1e-4", 1e-4),
+    "snapshot_iters": ("0, 5", (0, 5)),
+    "timing": ("on", True),
+    "obs_file": ("obs.txt", "obs.txt"),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig)])
+def test_every_key_parses_by_its_field(key):
+    raw, expected = PARSED[key]
+    # repr compares the types too: 20.0, not 20; (4, 8), not (4.0, 8.0)
+    assert repr(parse_assignments([f"{key} = {raw}"])[key]) == repr(expected)
+
+
+@pytest.mark.parametrize(
+    "line, key, expected",
+    [
+        ("rho = sqrt-alpha", "rho", None),
+        ("obs_file =", "obs_file", None),
+        ("snapshot_iters =", "snapshot_iters", ()),
+        ("preconditioners = a, b", "preconditioners", ("a", "b")),
+    ],
+)
+def test_edge_spellings(line, key, expected):
+    assert parse_assignments([line]) == {key: expected}
+
+
+@pytest.mark.parametrize("line", ["rho =", "nx =", "alpha = 1e-2,,1e-4", "timing = maybe", "seed = 1.5"])
+def test_rejected_spellings(line):
+    with pytest.raises(ConfigError):
+        load_config(None, overrides=[line])
+
+
+def test_readme_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Configuration keys") :].split("\n\n", 1)[0]
+    assert [f.name for f in fields(ExperimentConfig) if f"`{f.name}`" not in paragraph] == []
