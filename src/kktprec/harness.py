@@ -24,10 +24,11 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import astuple, dataclass, fields
+from functools import partial
 
 import numpy as np
 
-from .config import BDAL_EXACT, BDAL_KINDS, REDUCED_REGULARIZATION, ExperimentConfig
+from .config import BDAL_EXACT, REDUCED_REGULARIZATION, ExperimentConfig
 from .fem import interpolate_image
 from .formats import (
     read_observations,
@@ -215,33 +216,17 @@ def solve_one(
                 comments=(f"parameter iterate at iteration {k}",),
             )
 
-    if kind in BDAL_KINDS:
-        prec = build_preconditioner(sys, kind, rho=cfg.rho_for(sys.alpha))
-        report = minres(
-            kkt_operator(sys),
-            prec.as_operator(),
-            sys.rhs,
-            tol=cfg.tol,
-            maxit=cfg.maxit,
-            reference=q_ref,
-            select=lambda x: x[:n],
-            callback=callback,
-            target=target,
-        )
-    elif kind == REDUCED_REGULARIZATION:
+    if kind == REDUCED_REGULARIZATION:
         h = ReducedHessianOperator(sys)
-        report = pcg(
-            h.as_operator(),
-            regularization_prec_operator(h),
-            h.rhs(sys.y, sys.ops.observation),
-            tol=cfg.tol,
-            maxit=cfg.maxit,
-            reference=q_ref,
-            callback=callback,
-            target=target,
-        )
-    else:
-        raise ValueError(f"unknown solver kind {kind!r}")
+        krylov = pcg
+        problem = (h.as_operator(), regularization_prec_operator(h), h.rhs(sys.y, sys.ops.observation))
+    else:  # build_preconditioner rejects an unknown kind before it factors anything
+        prec = build_preconditioner(sys, kind, rho=cfg.rho_for(sys.alpha))
+        krylov = partial(minres, select=lambda x: x[:n])
+        problem = (kkt_operator(sys), prec.as_operator(), sys.rhs)
+    report = krylov(
+        *problem, tol=cfg.tol, maxit=cfg.maxit, reference=q_ref, callback=callback, target=target
+    )
     return RunRecord(
         run_id=run_id,
         config_echo={"kind": kind, "alpha": sys.alpha, "n": n},

@@ -38,7 +38,8 @@ solve of the baseline preconditioner, and the forward and adjoint PDE
 solves (one LU of A per ProblemOperators, made by the reduced-Hessian
 CG, its only reader; synthesize_data factors A in an LU of its own that
 it frees on return). Only the spectral verifier densifies, one n x n
-block of KktSystem.matrix at a time.
+block at a time: K's blocks as KktSystem.blocks() gives them, and the
+preconditioner's P1 and P3 (Preconditioner.p1 and p3).
 
 Every LU runs in SuperLU's symmetric mode (one ordering for rows and
 columns, diagonal pivots). The saddle-point systems are put in
@@ -298,6 +299,14 @@ def _permuted_solver(
     return solve
 
 
+def _interleaved(mesh: TriMesh, blocks: tuple[int, ...]) -> np.ndarray:
+    """Indices that interleave len(blocks) vectors of mesh.n_vertices
+    entries vertex by vertex: entry len(blocks) k + j is the entry of vertex
+    v_k in block blocks[j], with v the nested-dissection order of mesh."""
+    n = mesh.n_vertices
+    return (nested_dissection_order(mesh.nx, mesh.ny)[:, None] + [b * n for b in blocks]).ravel()
+
+
 def reference_solution(sys: KktSystem) -> np.ndarray:
     """Sparse direct solve of the full KKT system to the exact-solve
     contract of every SparseLU: normwise backward error at most
@@ -316,20 +325,21 @@ def reference_solution(sys: KktSystem) -> np.ndarray:
     """
     if float(np.linalg.norm(sys.rhs)) == 0.0:
         return np.zeros(sys.dim)
-    n = sys.n
-    vertex = nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)[:, None]
-    rows = (vertex + [2 * n, n, 0]).ravel()
-    cols = (vertex + [n, 2 * n, 0]).ravel()
+    rows, cols = _interleaved(sys.ops.mesh, (2, 1, 0)), _interleaved(sys.ops.mesh, (1, 2, 0))
     return _permuted_solver(sys.blocks(), rows, cols, "KKT")(sys.rhs)
 
 
 @dataclass
 class Preconditioner:
     """One preconditioner instance; apply_inverse(r) = P^{-1} r, blockwise.
-    kind is one of BDAL_KINDS."""
+    kind is one of BDAL_KINDS. p1 = alpha R*R + rho Wt and p3 = Wt / rho,
+    with Wt the kind's mass, are P's outer blocks in CSR, formed once by
+    build_preconditioner for the solves and the spectral verifier alike."""
 
     kind: str
     rho: float
+    p1: sp.csr_matrix = field(repr=False)
+    p3: sp.csr_matrix = field(repr=False)
     apply_inverse: Operator = field(repr=False)
 
     def as_operator(self) -> Operator:
@@ -374,18 +384,20 @@ def build_preconditioner(
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     n = sys.n
+    wt = sys.mass if kind == BDAL_EXACT else _diagonal(sys.ops.mass_lumped)
+    p1 = sys.alpha * sys.reg + rho * wt
+    p3 = (1.0 / rho) * wt
 
     if kind == BDAL_EXACT:
-        # Built on first apply, the vertex order included: the spectral
-        # verifier reads only kind and rho, and never applies this
-        # preconditioner. The augmented system's Schur complement is P2, so
-        # its LU applies P2^-1 exactly.
+        # Factored on first apply: the spectral verifier reads p1 and p3
+        # and never applies this preconditioner. The augmented system's
+        # Schur complement is P2, so its LU applies P2^-1 exactly.
         @cache
         def factors() -> tuple[SparseLU, SparseLU, Operator]:
-            pairs = (nested_dissection_order(sys.ops.mesh.nx, sys.ops.mesh.ny)[:, None] + [0, n]).ravel()
+            pairs = _interleaved(sys.ops.mesh, (0, 1))
             augmented = [[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]]
             return (
-                SparseLU(sys.alpha * sys.reg + rho * sys.mass, "block 1"),
+                SparseLU(p1, "block 1"),
                 SparseLU(sys.mass, "mass"),
                 _permuted_solver(augmented, pairs, pairs, "block 2"),
             )
@@ -395,17 +407,14 @@ def build_preconditioner(
         solve3 = lambda r: rho * factors()[1](r)
 
     else:
-        w_diag = sys.ops.mass_lumped
-        block1 = sys.alpha * sys.reg + rho * _diagonal(w_diag)
         block2 = sys.btb + rho * sys.ops.at_lumped_inv_a
         if kind == BDAL_LUMPED_EXACT:
-            solve1 = SparseLU(block1, "block 1")
-            solve2 = SparseLU(block2, "block 2")
+            solve1, solve2 = SparseLU(p1, "block 1"), SparseLU(block2, "block 2")
         else:
             mesh = sys.ops.mesh
-            solve1 = Cycle(block1, mesh.nx, mesh.ny, 1, "block 1")
+            solve1 = Cycle(p1, mesh.nx, mesh.ny, 1, "block 1")
             solve2 = Cycle(block2, mesh.nx, mesh.ny, 2, "block 2")
-        inv_w = 1.0 / w_diag
+        inv_w = 1.0 / sys.ops.mass_lumped
         solve3 = lambda r: rho * (inv_w * r)
 
     def apply_inverse(r: np.ndarray) -> np.ndarray:
@@ -418,7 +427,7 @@ def build_preconditioner(
         out[2 * n :] = solve3(r[2 * n :])
         return out
 
-    return Preconditioner(kind=kind, rho=rho, apply_inverse=apply_inverse)
+    return Preconditioner(kind=kind, rho=rho, p1=p1, p3=p3, apply_inverse=apply_inverse)
 
 
 @dataclass

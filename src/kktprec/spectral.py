@@ -16,7 +16,9 @@ verify_spectral_bounds checks all five numerically on dense assemblies,
 with E formed from K's four nonzero blocks as the block-Cholesky
 congruence L^(-1) K L^(-T), P = L L^T: it differs from P^(-1/2) K P^(-1/2)
 by an orthogonal block-diagonal factor, so it has the same spectrum, and F
-and G the same singular values. beta^2 is lambda_max(G^T Q_reg G), which
+and G the same singular values. L1 and L3 factor the preconditioner's own
+P1 and P3 (Preconditioner.p1 and p3), and L2 factors P2 = B*B + A^T P3^(-1)
+A = B*B + C^T C, with C = L3^(-1) A. beta^2 is lambda_max(G^T Q_reg G), which
 shares the nonzero spectrum of Q_reg Q_data.
 
 A sixth check is proven too: E has inertia (2n, n, 0). K's (q, u) block
@@ -228,9 +230,9 @@ def preconditioned_kkt_dense(sys: KktSystem, prec: Preconditioner) -> np.ndarray
     KktSystem.blocks() gives them: the diagonal X1 = L1^(-1) alpha R*R
     L1^(-T) and X2 = L2^(-1) BtB L2^(-T), symmetrized, and the coupling
     F = L3^(-1) (-W) L1^(-T) and G = (L3^(-1) A) L2^(-T), mirrored above
-    the diagonal. P's own mass W is sys.mass: P1 = alpha R*R + rho W and
-    P3 = W / rho, so P2 = BtB + rho At W^(-1) A is exactly BtB + Ct C for
-    C = L3^(-1) A.
+    the diagonal. L1 and L3 are the Cholesky factors of the
+    preconditioner's own prec.p1 and prec.p3, and P2 = BtB + At P3^(-1) A
+    is exactly BtB + Ct C for C = L3^(-1) A.
 
     Each block is written into E as soon as its factors exist, and each
     n x n factor is freed after its last block: L1 after X1 and F, L3 once
@@ -244,14 +246,12 @@ def preconditioned_kkt_dense(sys: KktSystem, prec: Preconditioner) -> np.ndarray
             f"(got kind {prec.kind!r}); the provable structure requires it"
         )
     (areg, _, neg_w), (_, btb, a) = sys.blocks()[:2]
-    n, rho = sys.n, prec.rho
+    n = sys.n
     q, u, eta = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
     e = np.zeros((3 * n, 3 * n))
 
-    w = sys.mass.toarray(order="F")
-    l1 = _cholesky(areg.toarray(order="F") + rho * w, "P1")
-    l3 = _cholesky((1.0 / rho) * w, "P3")
-    del w
+    l1 = _cholesky(prec.p1.toarray(order="F"), "P1")
+    l3 = _cholesky(prec.p3.toarray(order="F"), "P3")
     e[q, q] = _congruent(l1, areg)
     e[eta, q] = _solve_lower(l1, _solve_lower(l3, neg_w.toarray(order="F")).T).T
     del l1

@@ -180,6 +180,24 @@ def test_build_preconditioner_rejects_unknown(kkt_2x2):
         build_preconditioner(kkt_2x2, REDUCED_REGULARIZATION)
 
 
+def test_solve_one_rejects_unknown_kind_before_factoring(kkt_2x2, factors):
+    with pytest.raises(ValueError, match="'block-jacobi'"):
+        solve_one(ExperimentConfig(), kkt_2x2, "block-jacobi", np.zeros(kkt_2x2.n))
+    assert factors == []
+
+
+@pytest.mark.parametrize("kind", BDAL_KINDS)
+def test_outer_blocks_are_p1_and_p3_of_the_kinds_mass(kind):
+    # Wt is the mass matrix for bdal-exact and its row-sum lumping for the
+    # lumped kinds; Wt / rho is formed as (1 / rho) Wt
+    sys = make_instance(nx=10, ny=7, n_obs=50, alpha=1e-6)
+    p = build_preconditioner(sys, kind)
+    wt = sys.mass.toarray() if kind == BDAL_EXACT else np.diag(sys.ops.mass_lumped)
+    assert p.p1.format == p.p3.format == "csr"
+    assert np.array_equal(p.p1.toarray(), sys.alpha * sys.reg.toarray() + p.rho * wt)
+    assert np.array_equal(p.p3.toarray(), (1.0 / p.rho) * wt)
+
+
 def test_build_preconditioner_validates_parameters(kkt_2x2):
     with pytest.raises(ValueError):
         build_preconditioner(kkt_2x2, BDAL_LUMPED_EXACT, rho=-1.0)

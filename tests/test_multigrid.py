@@ -86,6 +86,20 @@ def test_each_cycle_approximates_its_block(blocks_20x14):
         assert eigs.min() > -1e-10 and eigs.max() < 0.9
 
 
+def test_cycles_on_three_levels_are_symmetric_and_spd():
+    # 24x16 halves three times, so block 2's W-cycle visits levels 1 and 2
+    # twice; the 20x14 blocks above have one level and never do
+    sys = make_instance(nx=24, ny=16, n_obs=200, alpha=1e-6)
+    p = build_preconditioner(sys, BDAL_LUMPED_INEXACT)
+    block2 = sys.btb + p.rho * sys.ops.at_lumped_inv_a
+    for gamma, a in zip((1, 2), (p.p1, block2)):
+        cycle = Cycle(a, 24, 16, gamma, "block")
+        assert cycle.levels == 3
+        m = probe_columns(cycle, a.shape[0])
+        assert np.linalg.norm(m - m.T) <= 1e-12 * np.linalg.norm(m)
+        assert np.linalg.eigvalsh(0.5 * (m + m.T))[0] > 0.0
+
+
 def test_gershgorin_bounds_the_jacobi_spectrum(blocks_20x14):
     _, blocks = blocks_20x14
     for a in blocks:

@@ -393,6 +393,15 @@ def test_preconditioned_kkt_equals_all_factors_first_oracle(verified):
     assert np.array_equal(preconditioned_kkt_dense(sys, p), _e_all_factors_first(sys, p))
 
 
+@pytest.mark.parametrize("block", ["p1", "p3"])
+def test_preconditioned_kkt_reads_the_preconditioners_blocks(kkt_4x4, block):
+    # E is formed from P's own outer blocks, not rebuilt from the system
+    p = build_preconditioner(kkt_4x4, BDAL_EXACT)
+    doubled = dataclasses.replace(p, **{block: 2 * getattr(p, block)})
+    e = preconditioned_kkt_dense(kkt_4x4, p)
+    assert not np.allclose(preconditioned_kkt_dense(kkt_4x4, doubled), e)
+
+
 def test_coercivity_matches_dense_eigensolve(verified):
     # check 5 reads 1 - sigma_max(F^T G) from an n x n SVD; the oracle is the
     # lowest eigenvalue of the 2n x 2n matrix [[I, F^T G], [G^T F, I]]
