@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Run the full benchmark set from the checked-in config files: spectral
-bound verification, the solver comparison, the mesh study, the
-(alpha, n_obs) sweep, and the mesh study at scale (58x40 to 232x160).
-Extra arguments are passed through to every step, so e.g.
-`run_all.py --set seed=7` reruns everything under another seed. Each
-step's wall time is printed after it, with its CPU time and the peak
-resident memory so far, each of this process and its reaped children
-(the verify-theory workers), and the total times at the end."""
+"""Run every checked-in config into its `out_dir` under results/: bound
+verification, the solver comparison, the mesh study, the (alpha, n_obs)
+sweep, the mesh study at scale (58x40 to 232x160) and the convergence
+demo (36x25, 2000 observations, alpha 1e-8). Extra arguments go to every
+step, so `run_all.py --set seed=7` reruns everything under another seed.
+After each step it prints the step's wall and CPU time and the peak
+resident memory so far of this process and of its reaped children (the
+verify-theory workers); at the end, the total times."""
 
 import resource
 import sys
@@ -20,6 +20,7 @@ STEPS = [
     ["mesh-study", "--config", "configs/mesh-study.cfg"],
     ["sweep", "--config", "configs/sweep.cfg"],
     ["mesh-study", "--config", "configs/scale.cfg"],
+    ["convergence", "--config", "configs/convergence-demo.cfg"],
 ]
 
 

@@ -1,6 +1,8 @@
 """Experiment drivers: observation sampling, the synthetic source, and the
 four run_* entry points with their CSV/PGM outputs."""
 
+import csv
+import importlib.util
 import os
 import pickle
 from dataclasses import replace
@@ -12,7 +14,8 @@ from helpers import splitmix64_reference
 from kktprec import harness, kkt, parallel
 from kktprec.cli import EXIT_ERROR, EXIT_THEORY_VIOLATION, main
 from kktprec.config import ExperimentConfig, load_config
-from kktprec.formats import read_observations, read_pgm, write_observations
+from kktprec.fem import interpolate_image
+from kktprec.formats import read_observations, read_pgm, write_observations, write_pgm
 from kktprec.harness import (
     CSV_COLUMNS,
     generate_observations,
@@ -192,6 +195,28 @@ def test_snapshot_pgms_written(conv_run):
         path = os.path.join(out, f"{rid}-iter{k:04d}.pgm")
         img = read_pgm(path)
         assert img.shape == (cfg.ny[0] + 1, cfg.nx[0] + 1)
+
+
+@pytest.mark.parametrize("magic", ["P2", "P5"])
+def test_image_source_end_to_end(tmp_path, magic):
+    path = tmp_path / f"source-{magic}.pgm"
+    pixels = np.array([[0, 40, 90, 200, 255], [30, 60, 120, 180, 10], [255, 0, 70, 140, 210]])
+    if magic == "P2":
+        write_pgm(str(path), pixels)
+    else:
+        path.write_bytes(b"P5\n5 3\n255\n" + pixels.astype(np.uint8).tobytes())
+    out = tmp_path / "out"
+    cfg = ExperimentConfig(
+        nx=(6,), ny=(4,), alpha=(1e-4,), n_obs=(12,), seed=3,
+        preconditioners=("bdal-lumped-exact",), maxit=50,
+        source=str(path), out_dir=str(out),
+    )
+    mesh = build_mesh(cfg.lx, cfg.ly, 6, 4)
+    got = harness.source_field(cfg, mesh).values
+    want = interpolate_image(mesh, read_pgm(str(path)), 0.0, 1.0).values
+    assert np.array_equal(got, want)
+    run_convergence(cfg)
+    assert (out / "convergence.csv").is_file()
 
 
 def test_convergence_outputs_reproducible(tmp_path):
@@ -646,15 +671,19 @@ def _assert_theory_csv_close(got: bytes, want: bytes) -> None:
                     w[0], column, _REGENERATE)
 
 
-@pytest.mark.parametrize(
-    "command, config",
-    [
-        ("mesh-study", "mesh-study.cfg"),
-        ("convergence", "benchmark.cfg"),
-        ("sweep", "sweep.cfg"),
-        ("verify-theory", "theory.cfg"),
-    ],
-)
+# Every step of scripts/run_all.py except the scale run (about 6 s), which
+# test_every_config_is_run_and_checked holds to this list.
+GOLDEN_RUNS = [
+    ("mesh-study", "mesh-study.cfg"),
+    ("convergence", "benchmark.cfg"),
+    ("sweep", "sweep.cfg"),
+    ("verify-theory", "theory.cfg"),
+    ("convergence", "convergence-demo.cfg"),
+]
+_UNCHECKED_CONFIGS = {"scale.cfg"}
+
+
+@pytest.mark.parametrize("command, config", GOLDEN_RUNS)
 def test_checked_in_results_reproduced(tmp_path, capsys, command, config):
     # Rerun-against-rerun identity cannot see a change that shifts every
     # run the same way; the checked-in results can.
@@ -670,3 +699,26 @@ def test_checked_in_results_reproduced(tmp_path, capsys, command, config):
             _assert_theory_csv_close((tmp_path / name).read_bytes(), want)
         else:
             assert (tmp_path / name).read_bytes() == want, f"{golden}/{name} differs; {_REGENERATE}"
+
+
+def test_every_config_is_run_and_checked():
+    spec = importlib.util.spec_from_file_location(
+        "run_all", os.path.join(_REPO, "scripts", "run_all.py"))
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    steps = [(argv[0], os.path.basename(argv[argv.index("--config") + 1]))
+             for argv in run_all.STEPS]
+    configs = sorted(n for n in os.listdir(os.path.join(_REPO, "configs")) if n.endswith(".cfg"))
+    assert sorted(config for _, config in steps) == configs
+    assert sorted(step for step in steps if step[1] not in _UNCHECKED_CONFIGS) == sorted(GOLDEN_RUNS)
+
+
+def test_headline_three_minres_iterations_beat_fifty_cg():
+    # The abstract's comparison, read from the golden file that
+    # test_checked_in_results_reproduced proves the code still writes.
+    with open(os.path.join(_REPO, "results", "convergence-demo", "convergence.csv")) as f:
+        errors = {(row["run-id"], int(row["iteration"])): float(row["rel-param-error"])
+                  for row in csv.DictReader(f)}
+    minres_3 = errors["minres-bdal-lumped-exact-nx36-ny25-alpha1e-08-obs2000", 3]
+    cg_50 = errors["cg-hess-reduced-regularization-nx36-ny25-alpha1e-08-obs2000", 50]
+    assert minres_3 < cg_50, (minres_3, cg_50)

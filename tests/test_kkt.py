@@ -207,6 +207,26 @@ def test_build_preconditioner_validates_parameters(kkt_2x2):
     assert np.array_equal(unread.apply_inverse(r), build_preconditioner(kkt_2x2, BDAL_LUMPED_INEXACT).apply_inverse(r))
 
 
+def _operator_and_length(sys, name):
+    if name in BDAL_KINDS:
+        return build_preconditioner(sys, name).apply_inverse, sys.dim
+    h = reduced_hessian(sys)
+    if name == "reduced-hessian":
+        return h.apply, sys.n
+    if name == "regularization":
+        return regularization_prec_operator(h), sys.n
+    return (lambda z: apply_kkt(sys, z)), sys.dim
+
+
+@pytest.mark.parametrize("name", ["kkt", *BDAL_KINDS, "reduced-hessian", "regularization"])
+def test_operators_reject_a_vector_one_entry_short(kkt_2x2, factors, name):
+    apply, length = _operator_and_length(kkt_2x2, name)
+    built = len(factors)
+    with pytest.raises(DimensionMismatchError):
+        apply(np.ones(length - 1))
+    assert len(factors) == built  # the length is checked before any factorization
+
+
 def test_reduced_hessian_alpha_dominance(kkt_2x2):
     rng = np.random.default_rng(18)
     q = rng.standard_normal(kkt_2x2.n)

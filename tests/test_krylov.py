@@ -57,6 +57,16 @@ def test_minres_residual_history_monotone():
     assert np.all(np.diff(hist) <= 1e-12 * hist[0])
 
 
+def test_minres_flags_breakdown_on_a_singular_operator():
+    # b has a component in the null space of a, so the Lanczos process ends
+    # after two steps with no solution; K is nonsingular in every package solve.
+    a = np.diag([1.0, 0.0])
+    report = minres(op_from(a), lambda r: r.copy(), np.array([1.0, 1.0]))
+    assert report.breakdown
+    assert not report.converged
+    assert report.iterations == 2
+
+
 def test_minres_agrees_with_pcg_on_spd():
     rng = np.random.default_rng(9)
     m = random_spd(10, rng)
