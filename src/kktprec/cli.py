@@ -69,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name, text in (
         ("convergence", "error-vs-iteration comparison of the configured solvers"),
         ("mesh-study", "iteration counts across a mesh refinement sequence"),
-        ("sweep", "iteration counts over the (alpha, n_obs) grid"),
+        ("sweep", "iteration counts over the (alpha, n_obs) grid, for one configured solver"),
         ("verify-theory", "check the provable spectral bounds on assembled instances"),
-        ("gen-obs", "write an observation point file from the seed"),
+        ("gen-obs", "write the observation file the studies write (from obs_file or the seed)"),
         ("synth-source", "write the synthetic source as a PGM image"),
     ):
         _add_common(sub.add_parser(name, help=text))
@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
 
     _defer_numpy_submodules()
     from . import harness
-    from .formats import write_field_pgm, write_observations
+    from .formats import write_field_pgm
     from .mesh import build_mesh
 
     if gc.get_freeze_count() == 0:  # once: a later call would freeze an earlier run's garbage
@@ -146,10 +146,7 @@ def main(argv: list[str] | None = None) -> int:
             if not all_ok:
                 return EXIT_THEORY_VIOLATION
         elif args.command == "gen-obs":
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            obs = harness.generate_observations(cfg.seed, cfg.n_obs[0], cfg.lx, cfg.ly)
-            path = os.path.join(cfg.out_dir, f"observations-n{cfg.n_obs[0]}.txt")
-            write_observations(path, obs)
+            path, _ = harness._observations(cfg, cfg.n_obs[0])
             print(path)
         elif args.command == "synth-source":
             os.makedirs(cfg.out_dir, exist_ok=True)

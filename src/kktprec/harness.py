@@ -2,15 +2,18 @@
 convergence / mesh / sweep / theory studies with CSV and PGM artifacts.
 
 Reproducibility contract: every artifact is a deterministic function of
-(config, seed, observation file). Each study writes its observation file
+(config, seed, observation file). Each study writes its observation files
 before any solve and solves with the points it wrote; the file's .17g text
 round-trips every float64, so a rerun from that file sees the same points
 bit for bit. Wall-clock timing is opt-in (config key timing); with it off,
 the wall-s column is written as zero and reruns are byte-identical.
 
-One path serves every instance of the convergence, mesh and sweep studies
-(_solve_instance: build the KKT system, solve the reference, run each
-solver), and one writer (_write_csv) formats every CSV.
+Every study is a slice of one (mesh, n_obs) grid, _grid: convergence takes
+the first mesh and count, mesh-study every mesh at the first count, sweep
+the first mesh at every count, verify-theory all of it without data. One
+path serves every instance of the first three (_solve_instance: build the
+KKT system, solve the reference, run each solver), and one writer
+(_write_csv) formats every CSV.
 
 The sweep records only iterations-to-target, so its solves pass
 cfg.target_error to the Krylov solver as a third stop rule beside tol and
@@ -25,6 +28,7 @@ import os
 import time
 from dataclasses import astuple, dataclass, fields
 from functools import partial
+from typing import Iterator
 
 import numpy as np
 
@@ -156,10 +160,11 @@ class _Stopwatch:
         self.marks.append(time.perf_counter() - self._start if self.enabled else 0.0)
 
 
-def _observations(cfg: ExperimentConfig, n_obs: int, out_dir: str) -> ObservationSet:
-    """Write observations-n{n_obs}.txt (a copy of the configured file, its
-    count checked, or drawn from the seed) before any solve and return its
-    points; the file's text reads back to the same float64 bits."""
+def _observations(cfg: ExperimentConfig, n_obs: int) -> tuple[str, ObservationSet]:
+    """Write observations-n{n_obs}.txt into cfg.out_dir (a copy of the
+    configured file, its count checked, or drawn from the seed) and return
+    its path and points; the file's text reads back to the same float64
+    bits."""
     if cfg.obs_file is not None:
         obs = read_observations(cfg.obs_file, cfg.lx, cfg.ly)
         if obs.n_obs != n_obs:
@@ -168,8 +173,10 @@ def _observations(cfg: ExperimentConfig, n_obs: int, out_dir: str) -> Observatio
             )
     else:
         obs = generate_observations(cfg.seed, n_obs, cfg.lx, cfg.ly)
-    write_observations(os.path.join(out_dir, f"observations-n{n_obs}.txt"), obs)
-    return obs
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, f"observations-n{n_obs}.txt")
+    write_observations(path, obs)
+    return path, obs
 
 
 def source_field(cfg: ExperimentConfig, mesh: TriMesh) -> NodalField:
@@ -178,13 +185,22 @@ def source_field(cfg: ExperimentConfig, mesh: TriMesh) -> NodalField:
     return interpolate_image(mesh, read_pgm(cfg.source), low=0.0, high=1.0)
 
 
-def _assemble_data(
-    cfg: ExperimentConfig, mesh: TriMesh, obs: ObservationSet
-) -> tuple[ProblemOperators, np.ndarray]:
-    """Operators of one (mesh, observation set) pair and the synthetic data
-    y; neither depends on alpha."""
-    ops = assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)
-    return ops, synthesize_data(ops, source_field(cfg, mesh).values)
+def _grid(cfg: ExperimentConfig, meshes, n_obs, data: bool = True) -> Iterator[list]:
+    """Each (mesh, n_obs) pair as a list [operators, y], meshes outer.
+
+    Writes every observation file first, builds each mesh once and
+    assembles each pair once; y is the synthetic data if data is true, else
+    None. The list is emptied before the next pair assembles, so a caller
+    that holds only the list frees each pair's operators first."""
+    obs_sets = [_observations(cfg, n)[1] for n in n_obs]
+    for nx, ny in meshes:
+        mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
+        q_true = source_field(cfg, mesh).values if data else None
+        for obs in obs_sets:
+            pair = [assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)]
+            pair.append(synthesize_data(pair[0], q_true) if data else None)
+            yield pair
+            pair.clear()
 
 
 def solve_one(
@@ -259,12 +275,9 @@ def run_convergence(cfg: ExperimentConfig) -> list[RunRecord]:
     """Error-vs-iteration comparison of the configured solvers on one
     instance (first entry of each list). Writes convergence.csv plus
     optional parameter-iterate snapshots as PGM."""
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
-    ops, y = _assemble_data(cfg, mesh, _observations(cfg, cfg.n_obs[0], out))
-    records = _solve_instance(cfg, ops, y, cfg.alpha[0], cfg.preconditioners, snapshot_dir=out)
-    write_run_csv(os.path.join(out, "convergence.csv"), records)
+    for pair in _grid(cfg, zip(cfg.nx[:1], cfg.ny[:1]), cfg.n_obs[:1]):
+        records = _solve_instance(cfg, *pair, cfg.alpha[0], cfg.preconditioners, snapshot_dir=cfg.out_dir)
+    write_run_csv(os.path.join(cfg.out_dir, "convergence.csv"), records)
     return records
 
 
@@ -275,49 +288,37 @@ def run_mesh_study(cfg: ExperimentConfig) -> list[dict]:
     """Iterations-to-target across a mesh sequence at fixed alpha and a
     shared observation file. Writes mesh-study.csv (summary) and the
     per-iteration records CSV."""
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
     if len(cfg.nx) < 2:
         raise ValueError("mesh study wants at least two meshes in nx/ny")
-    obs = _observations(cfg, cfg.n_obs[0], out)
-
     records = []
     summary = []
-    for nx, ny in zip(cfg.nx, cfg.ny):
-        mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
-        ops, y = _assemble_data(cfg, mesh, obs)
-        for rec in _solve_instance(cfg, ops, y, cfg.alpha[0], cfg.preconditioners):
+    for pair in _grid(cfg, zip(cfg.nx, cfg.ny), cfg.n_obs[:1]):
+        mesh = pair[0].mesh
+        for rec in _solve_instance(cfg, *pair, cfg.alpha[0], cfg.preconditioners):
             records.append(rec)
-            row = (rec.run_id, nx, ny, mesh.h, mesh.n_vertices, rec.iterations_to_target, rec.converged)
+            row = (rec.run_id, mesh.nx, mesh.ny, mesh.h, mesh.n_vertices, rec.iterations_to_target, rec.converged)
             summary.append(dict(zip(MESH_STUDY_COLUMNS, row)))
-        del ops, y  # freed before the next rung assembles its own
-    _write_csv(os.path.join(out, "mesh-study.csv"), MESH_STUDY_COLUMNS, map(dict.values, summary))
-    write_run_csv(os.path.join(out, "mesh-study-iterations.csv"), records)
+    _write_csv(os.path.join(cfg.out_dir, "mesh-study.csv"), MESH_STUDY_COLUMNS, map(dict.values, summary))
+    write_run_csv(os.path.join(cfg.out_dir, "mesh-study-iterations.csv"), records)
     return summary
 
 
 def run_reg_data_sweep(cfg: ExperimentConfig) -> np.ndarray:
-    """Iterations-to-target over the (alpha, n_obs) grid for the first
-    configured preconditioner. Cell value -1 means the target was not
-    reached. Each solve stops at its first iterate below
-    cfg.target_error; tol and maxit still cap it. Writes sweep.csv;
-    observation files are fixed per n_obs."""
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
-    kind = cfg.preconditioners[0]
+    """Iterations-to-target over the (alpha, n_obs) grid for the one
+    configured solver; more than one is an error. Cell value -1 means the
+    target was not reached. Each solve stops at its first iterate below
+    cfg.target_error; tol and maxit still cap it. Writes sweep.csv."""
+    kinds = cfg.preconditioners
+    if len(kinds) != 1:
+        raise ValueError(f"sweep runs one solver, but preconditioners lists {len(kinds)}: {', '.join(kinds)}")
     matrix = np.full((len(cfg.alpha), len(cfg.n_obs)), -1, dtype=np.int64)
-
-    for j, n_obs in enumerate(cfg.n_obs):
-        ops, y = _assemble_data(cfg, mesh, _observations(cfg, n_obs, out))
+    for j, pair in enumerate(_grid(cfg, zip(cfg.nx[:1], cfg.ny[:1]), cfg.n_obs)):
         for i, alpha in enumerate(cfg.alpha):
-            (rec,) = _solve_instance(cfg, ops, y, alpha, (kind,), target=cfg.target_error)
+            (rec,) = _solve_instance(cfg, *pair, alpha, kinds, target=cfg.target_error)
             if rec.iterations_to_target is not None:
                 matrix[i, j] = rec.iterations_to_target
-        del ops, y  # freed before the next observation count assembles its own
-
     rows = [(alpha, *matrix[i]) for i, alpha in enumerate(cfg.alpha)]
-    _write_csv(os.path.join(out, "sweep.csv"), ("alpha", *cfg.n_obs), rows)
+    _write_csv(os.path.join(cfg.out_dir, "sweep.csv"), ("alpha", *cfg.n_obs), rows)
     return matrix
 
 
@@ -348,27 +349,20 @@ def run_theory_verification(cfg: ExperimentConfig) -> tuple[list[dict], bool]:
     """verify_spectral_bounds on every (mesh, n_obs, alpha) instance.
 
     Returns (rows, all_ok). Rows carry the measured constants, extrema, and
-    bounds; a failed instance is recorded and the sweep continues. Each
-    observation file is written once; operators are assembled here once per
-    (mesh, n_obs); the instances are verified by parallel.map_in_order, in
-    one forked worker per core when OpenBLAS loaded with one thread,
-    otherwise serially. Workers inherit the operators through the fork;
-    only the rows are pickled back.
+    bounds; a failed instance is recorded and the sweep continues. The
+    grid assembles each (mesh, n_obs) once, without data; the instances are
+    verified by parallel.map_in_order, in one forked worker per core when
+    OpenBLAS loaded with one thread, otherwise serially. Workers inherit the
+    operators through the fork; only the rows are pickled back.
     """
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    obs_sets = [_observations(cfg, n_obs, out) for n_obs in cfg.n_obs]
     jobs = []
-    for nx, ny in zip(cfg.nx, cfg.ny):
-        mesh = build_mesh(cfg.lx, cfg.ly, nx, ny)
-        for obs in obs_sets:
-            ops = assemble_problem(mesh, obs, t=cfg.reg_shift, gamma0=cfg.nitsche_gamma)
-            ops.btb  # formed here, once: workers inherit it through the fork for every alpha's job
-            jobs += [(ops, alpha, cfg.rho_for(alpha)) for alpha in cfg.alpha]
+    for ops, _ in _grid(cfg, zip(cfg.nx, cfg.ny), cfg.n_obs, data=False):
+        ops.btb  # formed here, once: workers inherit it through the fork for every alpha's job
+        jobs += [(ops, alpha, cfg.rho_for(alpha)) for alpha in cfg.alpha]
     rows = map_in_order(_theory_row, jobs)
     measured = [f.name.replace("_", "-") for f in fields(ConditionReport)]
     _write_csv(
-        os.path.join(out, "theory.csv"),
+        os.path.join(cfg.out_dir, "theory.csv"),
         ["run-id", "nx", "ny", "n-obs", "alpha", "rho", *measured, "pass"],
         [
             (row["run-id"], row["nx"], row["ny"], row["n-obs"], row["alpha"], row["rho"],

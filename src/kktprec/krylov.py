@@ -79,8 +79,6 @@ class SolveReport:
 
 _BREAKDOWN_REL = 1e-14
 
-_TINY = np.finfo(np.float64).tiny
-
 
 def _solve(
     prec: Operator,
@@ -181,7 +179,9 @@ def minres(
     preconditioned residual drops below tol times its initial value, or,
     given a target (which needs a reference), at the first iterate whose
     relative error is below it. Lanczos breakdown with a nonconverged
-    residual is reported on the SolveReport, not raised.
+    residual is reported on the SolveReport, not raised; at a singular
+    T_k the report keeps the last iterate before it and that iterate's
+    residual.
     """
 
     def steps(x, r1, y, beta1_sq):
@@ -195,6 +195,7 @@ def minres(
         phibar = beta1
         cs = -1.0
         sn = 0.0
+        tnorm = 0.0  # largest entry of the Lanczos T_k so far
         w = np.zeros(x.size)
         w2 = np.zeros(x.size)
         r2 = r1
@@ -221,7 +222,12 @@ def minres(
             epsln = sn * beta
             dbar = -cs * beta
             gamma = math.hypot(gbar, beta)
-            gamma = max(gamma, _TINY)
+            tnorm = max(tnorm, abs(alfa), beta)
+            if gamma <= _BREAKDOWN_REL * tnorm:
+                # T_k is singular: no step lowers the residual, so the last
+                # iterate and its residual are the answer.
+                yield x, phibar, True
+                return
             cs = gbar / gamma
             sn = beta / gamma
             phi = cs * phibar

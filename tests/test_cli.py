@@ -50,6 +50,18 @@ def test_gen_obs_seed_changes_points(tmp_path):
     assert (p1 / name).read_bytes() != (p2 / name).read_bytes()
 
 
+def test_gen_obs_copies_the_configured_file_as_the_studies_do(tmp_path):
+    fixed = tmp_path / "fixed.txt"
+    fixed.write_text("0.5 0.25\n1.0 0.75\n0.125 0.5\n")
+    settings = ["--set", f"obs_file = {fixed}", "--set", "n_obs = 3"]
+    assert main(["gen-obs", "--out", str(tmp_path / "gen")] + settings) == EXIT_OK
+    study = ["convergence", "--out", str(tmp_path / "study"), "--set", "nx = 4", "--set", "ny = 3"]
+    assert main(study + settings) == EXIT_OK
+    name = "observations-n3.txt"
+    assert (tmp_path / "gen" / name).read_bytes() == (tmp_path / "study" / name).read_bytes()
+    assert main(["gen-obs", "--out", str(tmp_path / "bad"), "--set", f"obs_file = {fixed}"]) == EXIT_ERROR
+
+
 def test_synth_source_writes_readable_pgm(tmp_path, capsys):
     out = str(tmp_path)
     code = main(["synth-source", "--out", out, "--set", "nx = 6", "--set", "ny = 5"])
@@ -113,6 +125,14 @@ def test_sweep_smoke(tmp_path, capsys):
     assert code == EXIT_OK
     assert "sweep matrix (2 alphas x 2 sizes):" in capsys.readouterr().out
     assert os.path.exists(os.path.join(out, "sweep.csv"))
+
+
+def test_sweep_with_more_than_one_solver_is_error(tmp_path, capsys):
+    kinds = "bdal-lumped-exact, reduced-regularization"
+    code = main(["sweep", "--out", str(tmp_path), "--set", f"preconditioners = {kinds}"])
+    assert code == EXIT_ERROR
+    assert f"sweep runs one solver, but preconditioners lists 2: {kinds}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_verify_theory_smoke(tmp_path, capsys):

@@ -2,9 +2,11 @@
 four run_* entry points with their CSV/PGM outputs."""
 
 import csv
+import gc
 import importlib.util
 import os
 import pickle
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -394,14 +396,11 @@ def test_sweep_stops_each_solve_at_its_target_crossing(tmp_path, monkeypatch, ki
     matrix = run_reg_data_sweep(cfg)
     monkeypatch.undo()
 
-    mesh = build_mesh(cfg.lx, cfg.ly, cfg.nx[0], cfg.ny[0])
     want = np.full_like(matrix, -1)
     full = []
-    for j, n_obs in enumerate(cfg.n_obs):
-        obs = harness.generate_observations(cfg.seed, n_obs, cfg.lx, cfg.ly)
-        ops, y = harness._assemble_data(cfg, mesh, obs)
+    for j, pair in enumerate(harness._grid(cfg, zip(cfg.nx, cfg.ny), cfg.n_obs)):
         for i, alpha in enumerate(cfg.alpha):
-            (rec,) = harness._solve_instance(cfg, ops, y, alpha, (kind,))
+            (rec,) = harness._solve_instance(cfg, *pair, alpha, (kind,))
             full.append(rec)
             hit = harness._first_below(rec.rel_param_error, cfg.target_error)
             want[i, j] = -1 if hit is None else hit
@@ -642,6 +641,76 @@ def test_theory_writes_each_observation_file_once(tmp_path, monkeypatch):
     rows, _ = run_theory_verification(_theory_grid(tmp_path))
     assert len(rows) == 8  # 2 meshes x 2 n_obs x 2 alpha
     assert sorted(written) == ["observations-n4.txt", "observations-n7.txt"]
+
+
+# (command, (nx, n_obs) of each assembly in order, n_obs of each file in order)
+GRID_SLICES = [
+    ("convergence", [(4, 5)], [5]),
+    ("mesh-study", [(4, 5), (5, 5)], [5]),
+    ("sweep", [(4, 5), (4, 7)], [5, 7]),
+    ("verify-theory", [(4, 5), (4, 7), (5, 5), (5, 7)], [5, 7]),
+    ("gen-obs", [], [5]),
+]
+
+
+@pytest.mark.parametrize("command, pairs, files", GRID_SLICES, ids=[c for c, _, _ in GRID_SLICES])
+def test_study_writes_observations_first_and_assembles_each_pair_once(
+    tmp_path, monkeypatch, command, pairs, files
+):
+    events = []
+
+    def spy(name, event):
+        real = getattr(harness, name)
+
+        def recording(*args, **kwargs):
+            events.append(event(*args))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recording)
+
+    spy("write_observations", lambda path, obs: ("write", os.path.basename(path)))
+    spy("assemble_problem", lambda mesh, obs: ("assemble", (mesh.nx, obs.n_obs), obs.points))
+    spy("build_kkt", lambda ops, alpha, y: ("solve",))
+    monkeypatch.setattr(parallel, "_ONE_BLAS_THREAD", False)  # verify here, where the spies record
+    grid = ["nx = 4, 5", "ny = 3, 4", "alpha = 1e-2, 1e-4", "n_obs = 5, 7", "maxit = 50"]
+    args = [command, "--out", str(tmp_path), "--seed", "2"]
+    assert main(args + [arg for setting in grid for arg in ("--set", setting)]) == 0
+
+    names = [f"observations-n{n}.txt" for n in files]
+    assert [event[:2] for event in events[: len(files)]] == [("write", name) for name in names]
+    assert not any(event[0] == "write" for event in events[len(files):])
+    assembled = [event for event in events if event[0] == "assemble"]
+    assert [event[1] for event in assembled] == pairs
+    for _, (_, n_obs), points in assembled:
+        path = tmp_path / f"observations-n{n_obs}.txt"
+        assert np.array_equal(points, read_observations(str(path), 1.45, 1.0).points)
+    assert (("solve",) in events) == bool(pairs)
+
+
+@pytest.mark.parametrize("run", [run_mesh_study, run_reg_data_sweep])
+def test_each_pair_is_freed_before_the_next_assembles(tmp_path, monkeypatch, run):
+    refs = []
+    alive_at_next = []
+    real = harness.assemble_problem
+
+    def tracking(*args, **kwargs):
+        alive_at_next.extend(ref() is not None for ref in refs[-1:])
+        ops = real(*args, **kwargs)
+        refs.append(weakref.ref(ops))
+        return ops
+
+    monkeypatch.setattr(harness, "assemble_problem", tracking)
+    kinds = ("bdal-lumped-exact",) if run is run_reg_data_sweep else ("bdal-exact", "reduced-regularization")
+    cfg = ExperimentConfig(
+        nx=(4, 8), ny=(3, 6), alpha=(1e-2,), n_obs=(5, 9), seed=5,
+        preconditioners=kinds, maxit=50, out_dir=str(tmp_path),
+    )
+    gc.disable()  # freed by reference counts alone, as at peak memory
+    try:
+        run(cfg)
+    finally:
+        gc.enable()
+    assert alive_at_next == [False]
 
 
 # ------------------------------------------------------------------ golden

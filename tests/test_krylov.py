@@ -60,11 +60,19 @@ def test_minres_residual_history_monotone():
 def test_minres_flags_breakdown_on_a_singular_operator():
     # b has a component in the null space of a, so the Lanczos process ends
     # after two steps with no solution; K is nonsingular in every package solve.
+    # T_2 is singular, so the report keeps iterate 1 and its true residual.
     a = np.diag([1.0, 0.0])
-    report = minres(op_from(a), lambda r: r.copy(), np.array([1.0, 1.0]))
+    b = np.array([1.0, 1.0])
+    report = minres(op_from(a), lambda r: r.copy(), b)
     assert report.breakdown
     assert not report.converged
     assert report.iterations == 2
+    assert np.all(np.isfinite(report.solution))
+    assert report.residual_history[-1] == pytest.approx(np.linalg.norm(b - a @ report.solution), rel=1e-12)
+    # A consistent right-hand side on the same operator still converges at once.
+    consistent = minres(op_from(a), lambda r: r.copy(), np.array([1.0, 0.0]))
+    assert consistent.converged and not consistent.breakdown
+    assert consistent.iterations == 1
 
 
 def test_minres_agrees_with_pcg_on_spd():
