@@ -9,11 +9,12 @@ bit for bit. Wall-clock timing is opt-in (config key timing); with it off,
 the wall-s column is written as zero and reruns are byte-identical.
 
 Every study is a slice of one (mesh, n_obs) grid, _grid: convergence takes
-the first mesh and count, mesh-study every mesh at the first count, sweep
-the first mesh at every count, verify-theory all of it without data. One
-path serves every instance of the first three (_solve_instance: build the
-KKT system, solve the reference, run each solver), and one writer
-(_write_csv) formats every CSV.
+the first mesh and count, mesh-study every mesh at the first count
+(largest first; rows in config order), sweep the first mesh at every
+count, verify-theory all of it without data. One path serves every
+instance of the first three (_solve_instance: build the KKT system, solve
+the reference, run each solver), and one writer (_write_csv) formats
+every CSV.
 
 The sweep records only iterations-to-target, so its solves pass
 cfg.target_error to the Krylov solver as a third stop rule beside tol and
@@ -287,14 +288,24 @@ MESH_STUDY_COLUMNS = ("run-id", "nx", "ny", "h", "n-vertices", "iters-to-target"
 def run_mesh_study(cfg: ExperimentConfig) -> list[dict]:
     """Iterations-to-target across a mesh sequence at fixed alpha and a
     shared observation file. Writes mesh-study.csv (summary) and the
-    per-iteration records CSV."""
+    per-iteration records CSV.
+
+    The rungs are solved largest first (most vertices; ties in config
+    order), so the largest rung's reference LU, which sets the study's
+    peak memory, is allocated before the smaller rungs' freed memory
+    fragments the heap. Rows, records and the returned summary are in
+    config order."""
     if len(cfg.nx) < 2:
         raise ValueError("mesh study wants at least two meshes in nx/ny")
+    meshes = list(zip(cfg.nx, cfg.ny))
+    order = sorted(range(len(meshes)), key=lambda i: -(meshes[i][0] + 1) * (meshes[i][1] + 1))
+    rungs = [None] * len(meshes)  # (mesh, records) per rung, in config order
+    for k, pair in enumerate(_grid(cfg, [meshes[i] for i in order], cfg.n_obs[:1])):
+        rungs[order[k]] = (pair[0].mesh, _solve_instance(cfg, *pair, cfg.alpha[0], cfg.preconditioners))
     records = []
     summary = []
-    for pair in _grid(cfg, zip(cfg.nx, cfg.ny), cfg.n_obs[:1]):
-        mesh = pair[0].mesh
-        for rec in _solve_instance(cfg, *pair, cfg.alpha[0], cfg.preconditioners):
+    for mesh, recs in rungs:
+        for rec in recs:
             records.append(rec)
             row = (rec.run_id, mesh.nx, mesh.ny, mesh.h, mesh.n_vertices, rec.iterations_to_target, rec.converged)
             summary.append(dict(zip(MESH_STUDY_COLUMNS, row)))

@@ -6,6 +6,7 @@ import gc
 import importlib.util
 import os
 import pickle
+import re
 import weakref
 from dataclasses import replace
 
@@ -322,6 +323,47 @@ def test_mesh_study_unreached_target_cell(tmp_path):
     for line in lines[1:]:
         assert line.split(",")[5] == ""
         assert line.split(",")[6] == "false"
+
+
+def _rows_by_rung(path) -> dict:
+    """{(nx, ny): that rung's lines} in file order, keyed from the run-id."""
+    rows = {}
+    for line in path.read_text().splitlines()[1:]:
+        nx, ny = re.search(r"-nx(\d+)-ny(\d+)-", line.split(",")[0]).groups()
+        rows.setdefault((int(nx), int(ny)), []).append(line)
+    return rows
+
+
+@pytest.mark.parametrize("nx, ny, largest", [((4, 8), (3, 6), (8, 6)), ((5, 3), (3, 5), None)],
+                         ids=["sizes-differ", "equal-vertex-counts"])
+def test_mesh_study_solves_largest_first_and_writes_config_order(tmp_path, monkeypatch, nx, ny, largest):
+    # Solve order is a memory policy only: with the rungs given either way
+    # round, the largest assembles first (ties in config order), and each
+    # rung's rows are the same bytes, written in config order.
+    assembled = []
+    real = harness.assemble_problem
+
+    def recording(mesh, obs, **kwargs):
+        assembled.append((mesh.nx, mesh.ny))
+        return real(mesh, obs, **kwargs)
+
+    monkeypatch.setattr(harness, "assemble_problem", recording)
+    runs = []
+    for name, rungs in (("given", list(zip(nx, ny))), ("swapped", list(zip(nx, ny))[::-1])):
+        cfg = ExperimentConfig(
+            nx=tuple(r[0] for r in rungs), ny=tuple(r[1] for r in rungs), alpha=(1e-2,), n_obs=(10,),
+            seed=2, preconditioners=("bdal-lumped-exact", "reduced-regularization"), maxit=50,
+            out_dir=str(tmp_path / name),
+        )
+        assembled.clear()
+        summary = run_mesh_study(cfg)
+        assert assembled[0] == (largest or rungs[0])
+        assert sorted(assembled) == sorted(rungs)
+        assert [(row["nx"], row["ny"]) for row in summary] == [r for r in rungs for _ in range(2)]
+        files = [_rows_by_rung(tmp_path / name / f) for f in ("mesh-study.csv", "mesh-study-iterations.csv")]
+        assert all(list(rows) == rungs for rows in files)
+        runs.append(files)
+    assert runs[0] == runs[1]
 
 
 # ------------------------------------------------------------------- sweep
@@ -646,7 +688,7 @@ def test_theory_writes_each_observation_file_once(tmp_path, monkeypatch):
 # (command, (nx, n_obs) of each assembly in order, n_obs of each file in order)
 GRID_SLICES = [
     ("convergence", [(4, 5)], [5]),
-    ("mesh-study", [(4, 5), (5, 5)], [5]),
+    ("mesh-study", [(5, 5), (4, 5)], [5]),  # largest rung first
     ("sweep", [(4, 5), (4, 7)], [5, 7]),
     ("verify-theory", [(4, 5), (4, 7), (5, 5), (5, 7)], [5, 7]),
     ("gen-obs", [], [5]),
