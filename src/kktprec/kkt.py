@@ -22,8 +22,8 @@ applications of P^{-1}: cached sparse LUs for the exact kinds, one fixed
 multigrid cycle per block for bdal-lumped-inexact. Either way P^{-1} is a
 fixed linear SPD map, as the MINRES theory requires.
 
-Every block is a canonical scipy CSR matrix. KktSystem.matrix assembles K
-once per system; applying K (apply_kkt) is one sparse product with it. The
+Every block is a canonical scipy CSR matrix. K itself is never assembled:
+applying it (apply_kkt) is six products with the n x n blocks. The
 operators handed to the Krylov solvers (kkt_operator, Preconditioner.
 as_operator, ReducedHessianOperator.as_operator,
 regularization_prec_operator) are plain callables.
@@ -64,10 +64,11 @@ too small to gain.
 Each matrix SuperLU factors exists once while it is factored. Both
 permuted systems go from their blocks' entries straight into CSC, the
 form SuperLU factors and refinement multiplies by, so neither K nor a
-permuted CSR copy exists beside them; the reference never assembles K,
-which MINRES builds on its first apply. Every other factored matrix is
-exactly symmetric CSR, which SuperLU takes as the CSC view m.T of m's
-own arrays (SparseLU).
+permuted CSR copy exists beside them. The reference alone is factored
+in float32, from a float32 copy of the CSC's values that shares its
+index arrays, and refined in float64 against the CSC; every other LU is
+float64. Every factored matrix but these two is exactly symmetric CSR,
+which SuperLU takes as the CSC view m.T of m's own arrays (SparseLU).
 """
 
 from __future__ import annotations
@@ -224,14 +225,6 @@ class KktSystem:
         w, a = self.mass, self.forward
         return [[self.alpha * self.reg, None, -w], [None, self.btb, a], [-w, a, None]]
 
-    @cached_property
-    def matrix(self) -> sp.csr_matrix:
-        """The 3n x 3n KKT matrix in CSR, assembled from its blocks on first
-        use. K is exactly symmetric, so the transpose view of its CSC form
-        is its CSR form."""
-        idx = np.arange(self.dim)
-        return _permuted_csc(self.blocks(), idx, idx).T
-
 
 def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
     """Assemble the optimality system for data y at regularization alpha."""
@@ -248,11 +241,18 @@ def build_kkt(ops: ProblemOperators, alpha: float, y: np.ndarray) -> KktSystem:
 
 
 def apply_kkt(sys: KktSystem, z: np.ndarray) -> np.ndarray:
-    """K (q, u, eta): one product with the assembled KKT matrix."""
+    """K (q, u, eta), one n x n block product at a time, so K is never
+    assembled."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (sys.dim,):
         raise DimensionMismatchError(f"KKT operator expects length {sys.dim}")
-    return sys.matrix @ z
+    n = sys.n
+    q, u, eta = z[:n], z[n : 2 * n], z[2 * n :]
+    out = np.empty(sys.dim)
+    out[:n] = sys.alpha * (sys.reg @ q) - sys.mass @ eta
+    out[n : 2 * n] = sys.btb @ u + sys.forward @ eta
+    out[2 * n :] = sys.forward @ u - sys.mass @ q
+    return out
 
 
 def kkt_operator(sys: KktSystem) -> Operator:
@@ -281,15 +281,15 @@ def _permuted_csc(blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, co
 
 
 def _permuted_solver(
-    blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, cols: np.ndarray, name: str
+    blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, cols: np.ndarray, name: str, single: bool = False
 ) -> Operator:
     """b -> z solving sp.bmat(blocks) z = b through one LU of the system
     permuted to rows and cols, built straight into CSC (_permuted_csc) and
-    factored in that order: z[cols] solves the permuted system for
-    b[rows]. Permuting rows and columns keeps the Frobenius norm and the
-    residual norm, so the LU's backward-error contract holds for the
-    unpermuted system too."""
-    lu = SparseLU(_permuted_csc(blocks, rows, cols), name, ordered=True)
+    factored in that order, in float32 if single (SparseLU): z[cols]
+    solves the permuted system for b[rows]. Permuting rows and columns
+    keeps the Frobenius norm and the residual norm, so the LU's
+    backward-error contract holds for the unpermuted system too."""
+    lu = SparseLU(_permuted_csc(blocks, rows, cols), name, ordered=True, single=single)
 
     def solve(b: np.ndarray) -> np.ndarray:
         z = np.empty(cols.size)
@@ -319,14 +319,18 @@ def reference_solution(sys: KktSystem) -> np.ndarray:
     vertex's diagonal blocks come from A, A and alpha*R*R, which are SPD,
     so SuperLU's symmetric mode pivots on them, and it factors in that
     order. The permuted matrix is built from K's blocks straight into CSC
-    and is the only copy of K while SuperLU factors it: neither K
-    (sys.matrix, left for MINRES to assemble) nor a permuted CSR matrix
-    exists. Refinement multiplies by that CSC matrix.
+    and is the only float64 copy of K: neither K nor a permuted CSR
+    matrix exists, here or anywhere else. SuperLU factors a float32 copy
+    of its values that shares its index arrays, which halves the LU's
+    values (Buttari et al., ACM TOMS 34, 2008), and every solve is refined
+    in float64 against the float64 CSC, past the contract while a
+    correction still halves the backward error, so q is as accurate as a
+    float64 LU's (Carson, Higham, SIAM J. Sci. Comput. 40, 2018).
     """
     if float(np.linalg.norm(sys.rhs)) == 0.0:
         return np.zeros(sys.dim)
     rows, cols = _interleaved(sys.ops.mesh, (2, 1, 0)), _interleaved(sys.ops.mesh, (1, 2, 0))
-    return _permuted_solver(sys.blocks(), rows, cols, "KKT")(sys.rhs)
+    return _permuted_solver(sys.blocks(), rows, cols, "KKT", single=True)(sys.rhs)
 
 
 @dataclass

@@ -10,6 +10,14 @@ nowhere, since float64 cannot reach it once cond(m) exceeds about 1/tol
 (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 7
 and 12).
 
+The LU may be float32 (single=True), at the caller's choice: the
+refinement stays in float64 against the float64 m, to the same contract
+(Buttari et al., ACM TOMS 34, 2008; Carson, Higham, SIAM J. Sci. Comput.
+40, 2018). Only the reference KKT solve takes it, since it sets peak
+memory at every mesh size. Every other LU is float64: with float32 LUs of
+A and R*R refined to the contract, the reduced-Hessian CG took more
+iterations to its target.
+
 Sparse operators throughout the package are canonical scipy CSR matrices
 (sorted column indices, no duplicate entries, float64 data) and are used
 through scipy's own ``@``, ``.T``, ``+`` and ``.toarray()``; dense matrices
@@ -65,7 +73,9 @@ class SparseLU:
     A CSR m must be exactly symmetric: it is factored through m.T, the CSC
     view of m's own arrays, which then equals m. So m, kept in its own
     format as ``matrix`` for refinement, is the only copy of itself while
-    SuperLU runs.
+    SuperLU runs. With single=True SuperLU factors a float32 copy of m's
+    values on m's own index arrays instead, which halves the values of
+    the LU, and m stays float64 for refinement.
 
     Every solve is refined against m to the module's contract, so a tiny
     pivot either refines to it or raises RefinementError, and so does a
@@ -73,12 +83,15 @@ class SparseLU:
     SingularMatrixError and RefinementError messages.
     """
 
-    def __init__(self, m, name: str, ordered: bool = False):
+    def __init__(self, m, name: str, ordered: bool = False, single: bool = False):
         import scipy.sparse.linalg as spla
 
         self.name = name
         self.matrix = m
+        self.single = single
         self._norm = float(spla.norm(m))
+        if single:
+            m = type(m)((m.data.astype(np.float32), m.indices, m.indptr), shape=m.shape)
         options = dict(SYMMETRIC_MODE, permc_spec="NATURAL") if ordered else SYMMETRIC_MODE
         try:
             self._lu = spla.splu(m if m.format == "csc" else m.T, **options)
@@ -87,24 +100,53 @@ class SparseLU:
                 raise
             raise SingularMatrixError(f"{name} matrix: {exc}") from exc
 
+    def _solve(self, r: np.ndarray) -> np.ndarray:
+        """One LU solve. A float32 LU solves r scaled to unit norm, so the
+        cast neither overflows nor flushes r's entries to zero."""
+        if not self.single:
+            return self._lu.solve(r)
+        scale = math.sqrt(r @ r)
+        if scale == 0.0:
+            return np.zeros_like(r)
+        return self._lu.solve((r / scale).astype(np.float32)).astype(np.float64) * scale
+
+    def _backward_error(self, r: np.ndarray, norm_r: float, x: np.ndarray) -> tuple[float, np.ndarray]:
+        residual = r - self.matrix.dot(x)
+        return math.sqrt(residual @ residual) / (self._norm * math.sqrt(x @ x) + norm_r), residual
+
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """x with m x = r to backward error EXACT_SOLVE_TOL: one LU solve,
         then up to REFINEMENT_ROUNDS corrections. Each 2-norm is taken as
         sqrt(v @ v), the value np.linalg.norm returns for a 1-D float64
-        vector, without its dispatch."""
+        vector, without its dispatch.
+
+        A float32 LU meets the contract while x can still be far from a
+        float64 LU's x: near alpha = 1e-12 each correction may gain only
+        2-5 times. So once the contract is met it goes on correcting
+        while a correction still halves the backward error, and returns
+        the better of the last two x (0.5 is LAPACK's xGERFSX stopping
+        ratio; Demmel et al., ACM TOMS 32, 2006). Every such correction
+        halves the error, so this ends."""
         r = np.asarray(r, dtype=np.float64)
         norm_r = math.sqrt(r @ r)
         if norm_r == 0.0:
             return np.zeros_like(r)
-        x = self._lu.solve(r)
-        for rounds in range(REFINEMENT_ROUNDS + 1):
-            residual = r - self.matrix.dot(x)
-            err = math.sqrt(residual @ residual) / (self._norm * math.sqrt(x @ x) + norm_r)
+        x = self._solve(r)
+        err, residual = self._backward_error(r, norm_r, x)
+        for _ in range(REFINEMENT_ROUNDS):
             if err <= EXACT_SOLVE_TOL:
-                return x
-            if rounds < REFINEMENT_ROUNDS:
-                x = x + self._lu.solve(residual)
-        raise RefinementError(
-            f"{self.name} solve: refinement stalled at backward error {err:.3e} "
-            f"(target {EXACT_SOLVE_TOL:.1e})"
-        )
+                break
+            x = x + self._solve(residual)
+            err, residual = self._backward_error(r, norm_r, x)
+        if not err <= EXACT_SOLVE_TOL:  # a NaN backward error fails too
+            raise RefinementError(
+                f"{self.name} solve: refinement stalled at backward error {err:.3e} "
+                f"(target {EXACT_SOLVE_TOL:.1e})"
+            )
+        while self.single:
+            corrected = x + self._solve(residual)
+            corrected_err, corrected_residual = self._backward_error(r, norm_r, corrected)
+            if not corrected_err < 0.5 * err:
+                return corrected if corrected_err <= err else x
+            x, err, residual = corrected, corrected_err, corrected_residual
+        return x

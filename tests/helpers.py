@@ -7,6 +7,7 @@ public assembly path only.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 from kktprec.harness import generate_observations, synth_source
 from kktprec.kkt import assemble_problem, build_kkt, synthesize_data
@@ -81,6 +82,12 @@ def make_instance(nx=4, ny=4, n_obs=6, alpha=1e-2, seed=1, lx=1.45, ly=1.0,
     q_true = synth_source(mesh).values
     y = synthesize_data(ops, q_true)
     return build_kkt(ops, alpha, y)
+
+
+def assembled_kkt(sys):
+    """The 3n x 3n KKT matrix in CSR, assembled by scipy from the system's
+    blocks; the package itself never assembles K."""
+    return sp.bmat(sys.blocks(), format="csr")
 
 
 def sqrt_psd(m):

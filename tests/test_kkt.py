@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
-from helpers import make_instance, probe_columns, record_factors
+from helpers import assembled_kkt, make_instance, probe_columns, record_factors
 from kktprec import kkt, sparse
 from kktprec.config import (
     BDAL_EXACT,
@@ -84,12 +84,27 @@ def test_apply_symmetry(kkt_2x2):
     assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), 1.0)
 
 
-def test_dense_matches_operator_probing(kkt_2x2):
-    k = kkt_2x2.matrix.toarray()
-    probed = probe_columns(lambda z: apply_kkt(kkt_2x2, z), kkt_2x2.dim)
+@settings(max_examples=25, deadline=None)
+@given(
+    nx=st.integers(2, 10),
+    ny=st.integers(2, 8),
+    log_alpha=st.floats(-12.0, 0.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(nx=2, ny=2, log_alpha=-2.0, seed=0)
+def test_dense_matches_operator_probing(nx, ny, log_alpha, seed):
+    # apply_kkt works block by block; scipy's assembly of the same blocks is
+    # the K it must apply
+    sys = make_instance(nx=nx, ny=ny, n_obs=3, alpha=10.0**log_alpha)
+    k_csr = assembled_kkt(sys)
+    k = k_csr.toarray()
+    probed = probe_columns(lambda z: apply_kkt(sys, z), sys.dim)
     scale = np.max(np.abs(k))
     assert np.max(np.abs(k - probed)) <= 1e-13 * scale
     assert np.max(np.abs(k - k.T)) <= 1e-13 * scale
+    z = np.random.default_rng(seed).standard_normal(sys.dim)
+    want = k_csr @ z
+    assert np.linalg.norm(apply_kkt(sys, z) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_bdal_zero_maps_to_zero(kkt_2x2):
@@ -288,7 +303,7 @@ def test_regularization_prec_linear_and_positive(kkt_2x2):
 
 def test_reference_solution_residual(kkt_4x4):
     z = reference_solution(kkt_4x4)
-    k = kkt_4x4.matrix.toarray()
+    k = assembled_kkt(kkt_4x4).toarray()
     assert np.linalg.norm(k @ z - kkt_4x4.rhs) <= 1e-10 * np.linalg.norm(kkt_4x4.rhs)
 
 
@@ -325,7 +340,7 @@ def _forward_solve(sys, b):
 def test_reference_solution_matches_dense_ldlt(kkt_4x4, shape):
     sys = kkt_4x4 if shape == (4, 4) else make_instance(nx=10, ny=7, n_obs=20, alpha=1e-4)
     z = reference_solution(sys)
-    z_dense = sla.solve(sys.matrix.toarray(), sys.rhs, assume_a="sym")
+    z_dense = sla.solve(assembled_kkt(sys).toarray(), sys.rhs, assume_a="sym")
     assert np.linalg.norm(z - z_dense) <= 1e-10 * np.linalg.norm(z_dense)
 
 
@@ -355,7 +370,7 @@ def test_reference_solution_matches_colamd_lu(shape, alpha):
     sys = make_instance(nx=nx, ny=ny, n_obs=200, alpha=alpha)
     n = sys.n
     q = reference_solution(sys)[:n]
-    q_colamd = spsolve(sys.matrix.tocsc(), sys.rhs, permc_spec="COLAMD", use_umfpack=False)[:n]
+    q_colamd = spsolve(assembled_kkt(sys).tocsc(), sys.rhs, permc_spec="COLAMD", use_umfpack=False)[:n]
     assert np.linalg.norm(q - q_colamd) <= 1e-9 * np.linalg.norm(q_colamd)
 
 
@@ -388,13 +403,22 @@ def test_each_factored_matrix_exists_once(factors, monkeypatch):
     h = reduced_hessian(sys)
     h.apply(regularization_prec_operator(h)(np.ones(sys.n)))
     reference_solution(sys)
-    assert "matrix" not in vars(sys)  # K is left for MINRES to assemble
     # A in synthesis and again for the CG; bdal-exact's block 1, mass and
     # P2 system; two lumped blocks; two coarse levels (29x20 cannot be
     # halved); R*R; the reference
     assert len(lus) == len(factors.inputs) == 11
-    for lu, m in zip(lus, factors.inputs):
-        assert np.shares_memory(lu.matrix.data, m.data), lu.name
+    assert [lu.name for lu in lus if lu.single] == ["KKT"]
+    for lu, m, factor in zip(lus, factors.inputs, factors):
+        dtype = np.float32 if lu.single else np.float64
+        assert m.dtype == factor.L.dtype == factor.U.dtype == dtype, lu.name
+        if lu.single:
+            # a float32 copy of the values on the refined CSC's own index arrays
+            assert lu.matrix.dtype == np.float64
+            assert np.shares_memory(lu.matrix.indices, m.indices)
+            assert np.shares_memory(lu.matrix.indptr, m.indptr)
+            assert np.array_equal(m.data, lu.matrix.data.astype(np.float32))
+        else:
+            assert np.shares_memory(lu.matrix.data, m.data), lu.name
 
 
 def _same_arrays(a, b):
@@ -417,15 +441,13 @@ def test_permuted_systems_are_built_straight_into_csc(nx, ny, log_alpha):
     rows, cols = (order + [2 * n, n, 0]).ravel(), (order + [n, 2 * n, 0]).ravel()
     pairs = (order + [0, n]).ravel()
     rho = float(np.sqrt(sys.alpha))
-    full = sp.bmat(sys.blocks(), format="csr")
-    k = sys.matrix  # built by the same placement, in CSR through the transpose view
-    assert k.format == "csr" and k.has_canonical_format
-    assert k.indices.dtype == full.indices.dtype and _same_arrays(k, full)
+    reference = assembled_kkt(sys)[rows][:, cols].tocsc()
+    reference.data = reference.data.astype(np.float32)  # the one float32 LU
     augmented = sp.bmat([[sys.forward, sys.mass / -rho], [sys.btb, sys.forward]], format="csr")
-    expected = {3 * n: full[rows][:, cols].tocsc(), 2 * n: augmented[pairs][:, pairs].tocsc()}
+    expected = {3 * n: reference, 2 * n: augmented[pairs][:, pairs].tocsc()}
     for size, want in expected.items():
         (got,) = [m for m in made.inputs if m.shape[0] == size]
-        assert got.format == "csc" and _same_arrays(got, want)
+        assert got.format == "csc" and got.dtype == want.dtype and _same_arrays(got, want)
     views = [m for m in made.inputs if m.shape[0] <= n]
     assert len(views) == len(made.inputs) - 2
     for m in views:
@@ -454,10 +476,64 @@ def test_default_rho_is_one_rule_for_config_and_library(kkt_2x2):
 def test_reference_solution_backward_error_small_alpha():
     sys = make_instance(nx=20, ny=14, n_obs=200, alpha=1e-8)
     z = reference_solution(sys)
-    k = sys.matrix
+    k = assembled_kkt(sys)
     r = np.linalg.norm(k @ z - sys.rhs)
     norm_k = np.linalg.norm(k.data)
     assert r <= 1e-10 * (norm_k * np.linalg.norm(z) + np.linalg.norm(sys.rhs))
+
+
+_OBS = {(4, 4): 6, (10, 7): 50, (20, 14): 200, (29, 20): 500, (116, 80): 500}
+
+
+@pytest.mark.parametrize(
+    "shape, alpha, bound",
+    [
+        # at 4x4 and alpha 1e-12 two float64 solves of K already differ
+        # by 1.1e-9 in q
+        pytest.param(s, a, 2e-9 if (s, a) == ((4, 4), 1e-12) else 1e-9, id=f"{s[0]}x{s[1]}-{a:g}")
+        for s, a in [(s, a) for s in ((4, 4), (10, 7), (20, 14)) for a in (1e-2, 1e-6, 1e-8, 1e-10, 1e-12)]
+        + [((29, 20), 1e-12), ((116, 80), 1e-12)]
+    ],
+)
+def test_single_precision_reference_matches_a_double_precision_lu(shape, alpha, bound):
+    # The float32 LU refined in float64 meets the exact-solve contract and
+    # is as accurate in q as a float64 LU: q is held against a float64
+    # solve, COLAMD with partial pivoting refined ten times. Stopping at
+    # the contract left q 1.7e-3 away at 4x4 and 4e-6 at 29x20 (alpha
+    # 1e-12).
+    nx, ny = shape
+    sys = make_instance(nx=nx, ny=ny, n_obs=_OBS[shape], alpha=alpha)
+    z = reference_solution(sys)
+    k = assembled_kkt(sys)
+    residual = np.linalg.norm(k @ z - sys.rhs)
+    norm_k = sp.linalg.norm(k)
+    assert residual <= sparse.EXACT_SOLVE_TOL * (norm_k * np.linalg.norm(z) + np.linalg.norm(sys.rhs))
+    lu = sp.linalg.splu(k.tocsc(), permc_spec="COLAMD")
+    x = lu.solve(sys.rhs)
+    for _ in range(10):
+        x = x + lu.solve(sys.rhs - k @ x)
+    q, q_double = z[: sys.n], x[: sys.n]
+    assert np.linalg.norm(q - q_double) <= bound * np.linalg.norm(q_double)
+
+
+def test_minres_builds_no_3n_matrix(monkeypatch):
+    import scipy.sparse._base as sparse_base
+
+    sys = make_instance(nx=10, ny=7, n_obs=50, alpha=1e-4)
+    prec = build_preconditioner(sys, BDAL_LUMPED_EXACT)
+    made = []
+    init = sparse_base._spbase.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(sparse_base._spbase, "__init__", recording_init)
+    report = minres(_kkt_op(sys), prec.as_operator(), sys.rhs, tol=1e-10, maxit=200)
+    assert report.converged
+    assert [m.shape for m in made if max(m.shape) > sys.n] == []
+    reference_solution(sys)  # the recorder sees the reference's 3n matrix
+    assert (sys.dim, sys.dim) in [m.shape for m in made]
 
 
 def test_synthesize_data_forward_residual_large_mesh():

@@ -93,13 +93,11 @@ def test_assembled_operators_are_canonical_csr(nx, ny, n_obs, alpha):
         "sys.btb": sys.btb,
         "sys.forward": sys.forward,
         "sys.mass": sys.mass,
-        "sys.matrix": sys.matrix,
     }
     for name, m in matrices.items():
         assert sp.isspmatrix_csr(m), name
         assert m.has_canonical_format, name
         assert m.dtype == np.float64, name
-    assert sys.matrix.shape == (sys.dim, sys.dim)
     assert ops.observation.shape == (n_obs, sys.n)
 
 
@@ -119,9 +117,11 @@ def test_sparse_lu_solves_and_refines():
     dense[np.abs(dense) < 0.8] = 0.0
     m = sp.csc_matrix(dense)
     b = rng.standard_normal(12)
-    x = SparseLU(m, "test")(b)
-    assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
-    assert np.all(SparseLU(m, "test")(np.zeros(12)) == 0.0)
+    for single in (False, True):
+        solver = SparseLU(m, "test", single=single)
+        x = solver(b)
+        assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
+        assert np.all(solver(np.zeros(12)) == 0.0)
 
 
 def test_sparse_lu_ordered_keeps_the_given_order(factors):
@@ -138,17 +138,19 @@ def test_sparse_lu_ordered_keeps_the_given_order(factors):
 
 def test_sparse_lu_singular_names_matrix():
     m = sp.diags([1.0, 0.0, 2.0], format="csr")
-    with pytest.raises(SingularMatrixError, match="block 2 matrix"):
-        SparseLU(m, "block 2")
+    for single in (False, True):
+        with pytest.raises(SingularMatrixError, match="block 2 matrix"):
+            SparseLU(m, "block 2", single=single)
 
 
 def test_sparse_lu_stalled_refinement_reports_error(monkeypatch):
     rng = np.random.default_rng(32)
     m = sp.csc_matrix(rng.standard_normal((8, 8)) + 8.0 * np.eye(8))
-    solver = SparseLU(m, "forward")
     monkeypatch.setattr(sparse, "EXACT_SOLVE_TOL", 1e-30)
-    with pytest.raises(RefinementError, match=r"forward solve: refinement stalled at backward error \d"):
-        solver(rng.standard_normal(8))
+    for single in (False, True):
+        solver = SparseLU(m, "forward", single=single)
+        with pytest.raises(RefinementError, match=r"forward solve: refinement stalled at backward error \d"):
+            solver(rng.standard_normal(8))
 
 
 def test_sparse_lu_refinement_catches_nonsymmetric_csr():
@@ -157,9 +159,28 @@ def test_sparse_lu_refinement_catches_nonsymmetric_csr():
     # then stalls here instead of returning a wrong solution.
     m = sp.csr_matrix([[1.0, 4.0], [0.0, 1.0]])
     for ordered in (False, True):
-        solver = SparseLU(m, "probe", ordered=ordered)
-        with pytest.raises(RefinementError, match="probe solve: refinement stalled"):
-            solver(np.array([1.0, 2.0]))
+        for single in (False, True):
+            solver = SparseLU(m, "probe", ordered=ordered, single=single)
+            with pytest.raises(RefinementError, match="probe solve: refinement stalled"):
+                solver(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_sparse_lu_non_finite_solve_raises(single):
+    # A NaN backward error fails the contract: it is not <= the tolerance.
+    m = sp.csr_matrix([[4.0, 1.0], [1.0, 3.0]])
+    solver = SparseLU(m, "probe", single=single)
+    with np.errstate(invalid="ignore"):
+        for r in ([np.nan, 1.0], [np.inf, 1.0]):
+            with pytest.raises(RefinementError, match="backward error nan"):
+                solver(np.array(r))
+    if single:
+        # entries past float32's range: the float32 copy holds inf, its LU
+        # solves to zero, and refinement against m reports that
+        with np.errstate(over="ignore"):
+            big = SparseLU(sp.csr_matrix([[1.0, 1e39], [1e39, 1.0]]), "big", single=True)
+        with pytest.raises(RefinementError, match="big solve: refinement stalled"):
+            big(np.array([1.0, 2.0]))
 
 
 TINY_PIVOT = {
@@ -174,15 +195,16 @@ TINY_PIVOT = {
 def test_sparse_lu_tiny_pivot_refines_or_raises(case):
     dense = np.array(TINY_PIVOT[case])
     rng = np.random.default_rng(33)
-    solver = SparseLU(sp.csr_matrix(dense), "tiny")
-    for _ in range(5):
-        b = rng.standard_normal(dense.shape[0])
-        try:
-            x = solver(b)
-        except RefinementError:
-            continue
-        r = np.linalg.norm(dense @ x - b)
-        assert r <= 1e-12 * (np.linalg.norm(dense) * np.linalg.norm(x) + np.linalg.norm(b))
+    for single in (False, True):
+        solver = SparseLU(sp.csr_matrix(dense), "tiny", single=single)
+        for _ in range(5):
+            b = rng.standard_normal(dense.shape[0])
+            try:
+                x = solver(b)
+            except RefinementError:
+                continue
+            r = np.linalg.norm(dense @ x - b)
+            assert r <= 1e-12 * (np.linalg.norm(dense) * np.linalg.norm(x) + np.linalg.norm(b))
 
 
 def test_forward_lu_meets_backward_error_where_relative_residual_cannot():

@@ -16,7 +16,7 @@ from filter_model import (
     laplacian_source_model,
     stability_sigma_max,
 )
-from helpers import make_instance, splitmix64_reference, sqrt_psd
+from helpers import assembled_kkt, make_instance, splitmix64_reference, sqrt_psd
 from kktprec import spectral
 from kktprec.config import BDAL_EXACT, BDAL_LUMPED_EXACT
 from kktprec.kkt import build_preconditioner
@@ -244,7 +244,7 @@ def test_preconditioned_kkt_matches_generalized_eigenproblem(name, request):
     p = build_preconditioner(sys, BDAL_EXACT)
     got = np.linalg.eigvalsh(preconditioned_kkt_dense(sys, p))
     want = sla.eigh(
-        sys.matrix.toarray(), sla.block_diag(*_exact_bdal_blocks(sys, p.rho)), eigvals_only=True
+        assembled_kkt(sys).toarray(), sla.block_diag(*_exact_bdal_blocks(sys, p.rho)), eigvals_only=True
     )
     assert np.all(np.abs(got - want) <= 1e-10 * np.abs(want))
 
