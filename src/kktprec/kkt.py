@@ -63,16 +63,18 @@ too small to gain.
 
 Each matrix SuperLU factors exists once while it is factored. Both
 permuted systems go from their blocks' entries straight into CSC, the
-form SuperLU factors and refinement multiplies by, so neither K nor a
-permuted CSR copy exists beside them. The reference alone is factored
-in float32, from a float32 copy of the CSC's values that shares its
-index arrays, and refined in float64 against the CSC; every other LU is
-float64. Every factored matrix but these two is exactly symmetric CSR,
+form SuperLU factors, so neither K nor a permuted CSR copy exists beside
+them. The reference alone is factored in float32: its CSC is built in
+float32 and dropped once factored, and each solve is refined in float64
+against K's blocks (apply_kkt), so no float64 3n x 3n matrix exists at
+all. Every other LU is float64 and refined against the matrix it
+factored. Every factored matrix but these two is exactly symmetric CSR,
 which SuperLU takes as the CSC view m.T of m's own arrays (SparseLU).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -259,11 +261,14 @@ def kkt_operator(sys: KktSystem) -> Operator:
     return lambda z: apply_kkt(sys, z)
 
 
-def _permuted_csc(blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, cols: np.ndarray) -> sp.csc_matrix:
-    """sp.bmat(blocks)[rows][:, cols] in CSC, array for array, for square
-    CSR blocks of one size (None for a zero block). Each block's entries
-    go straight to their places through the inverse row and column maps,
-    so neither the block matrix nor a permuted CSR copy is formed."""
+def _permuted_csc(
+    blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, cols: np.ndarray, dtype=np.float64
+) -> sp.csc_matrix:
+    """sp.bmat(blocks)[rows][:, cols] in CSC with values of dtype, array
+    for array, for square CSR blocks of one size (None for a zero block).
+    Each block's entries go straight to their places through the inverse
+    row and column maps, so neither the block matrix nor a permuted CSR
+    copy is formed, and float32 values are rounded from the blocks' own."""
     n = rows.size // len(blocks)
     place_row, place_col = np.empty(rows.size, dtype=np.intc), np.empty(cols.size, dtype=np.intc)
     place_row[rows] = np.arange(rows.size, dtype=np.intc)
@@ -276,20 +281,41 @@ def _permuted_csc(blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, co
     ]
     r = np.concatenate([np.repeat(to_row, np.diff(b.indptr)) for to_row, _, b in parts])
     c = np.concatenate([to_col[b.indices] for _, to_col, b in parts])
-    data = np.concatenate([b.data for _, _, b in parts])
+    data = np.concatenate([b.data for _, _, b in parts], dtype=dtype)
     return sp.csc_matrix((data, (r, c)), shape=(rows.size, cols.size))
 
 
 def _permuted_solver(
-    blocks: list[list[sp.csr_matrix | None]], rows: np.ndarray, cols: np.ndarray, name: str, single: bool = False
+    blocks: list[list[sp.csr_matrix | None]],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    name: str,
+    apply: Operator | None = None,
 ) -> Operator:
     """b -> z solving sp.bmat(blocks) z = b through one LU of the system
     permuted to rows and cols, built straight into CSC (_permuted_csc) and
-    factored in that order, in float32 if single (SparseLU): z[cols]
-    solves the permuted system for b[rows]. Permuting rows and columns
-    keeps the Frobenius norm and the residual norm, so the LU's
-    backward-error contract holds for the unpermuted system too."""
-    lu = SparseLU(_permuted_csc(blocks, rows, cols), name, ordered=True, single=single)
+    factored in that order: z[cols] solves the permuted system for
+    b[rows]. Permuting rows and columns keeps the Frobenius norm and the
+    residual norm, so the LU's backward-error contract holds for the
+    unpermuted system too.
+
+    Given apply, z -> sp.bmat(blocks) z in float64, the CSC is built in
+    float32 and dropped once SuperLU has factored it, and each solve is
+    refined against apply, gathered to the permuted order, and against
+    the Frobenius norm of the blocks' own entries (SparseLU's against):
+    no float64 copy of the system exists."""
+    if apply is None:
+        lu = SparseLU(_permuted_csc(blocks, rows, cols), name, ordered=True)
+    else:
+
+        def permuted_apply(x: np.ndarray) -> np.ndarray:
+            z = np.empty(cols.size)
+            z[cols] = x
+            return apply(z)[rows]
+
+        norm = math.sqrt(sum(float(b.data @ b.data) for block_row in blocks for b in block_row if b is not None))
+        csc = _permuted_csc(blocks, rows, cols, np.float32)
+        lu = SparseLU(csc, name, ordered=True, single=True, against=(permuted_apply, norm))
 
     def solve(b: np.ndarray) -> np.ndarray:
         z = np.empty(cols.size)
@@ -319,32 +345,44 @@ def reference_solution(sys: KktSystem) -> np.ndarray:
     vertex's diagonal blocks come from A, A and alpha*R*R, which are SPD,
     so SuperLU's symmetric mode pivots on them, and it factors in that
     order. The permuted matrix is built from K's blocks straight into CSC
-    and is the only float64 copy of K: neither K nor a permuted CSR
-    matrix exists, here or anywhere else. SuperLU factors a float32 copy
-    of its values that shares its index arrays, which halves the LU's
-    values (Buttari et al., ACM TOMS 34, 2008), and every solve is refined
-    in float64 against the float64 CSC, past the contract while a
-    correction still halves the backward error, so q is as accurate as a
-    float64 LU's (Carson, Higham, SIAM J. Sci. Comput. 40, 2018).
+    in float32, which halves the LU's values (Buttari et al., ACM TOMS 34,
+    2008), and is dropped once SuperLU has factored it: no float64 copy of
+    K exists, here or anywhere else. Every solve is refined in float64
+    against K's blocks, each residual the six products of apply_kkt
+    gathered to the permuted order and ||K||_F taken from the blocks'
+    entries, while a correction still halves the backward error, so q is
+    as accurate as a float64 LU's (Carson, Higham, SIAM J. Sci. Comput.
+    40, 2018).
     """
     if float(np.linalg.norm(sys.rhs)) == 0.0:
         return np.zeros(sys.dim)
     rows, cols = _interleaved(sys.ops.mesh, (2, 1, 0)), _interleaved(sys.ops.mesh, (1, 2, 0))
-    return _permuted_solver(sys.blocks(), rows, cols, "KKT", single=True)(sys.rhs)
+    return _permuted_solver(sys.blocks(), rows, cols, "KKT", apply=kkt_operator(sys))(sys.rhs)
+
+
+def _kind_mass(sys: KktSystem, kind: str) -> sp.csr_matrix:
+    """Wt: the mass matrix for bdal-exact, its row-sum lumping otherwise."""
+    return sys.mass if kind == BDAL_EXACT else _diagonal(sys.ops.mass_lumped)
 
 
 @dataclass
 class Preconditioner:
-    """One preconditioner instance; apply_inverse(r) = P^{-1} r, blockwise.
-    kind is one of BDAL_KINDS. p1 = alpha R*R + rho Wt and p3 = Wt / rho,
-    with Wt the kind's mass, are P's outer blocks in CSR, formed once by
-    build_preconditioner for the solves and the spectral verifier alike."""
+    """One preconditioner instance of sys; apply_inverse(r) = P^{-1} r,
+    blockwise. kind is one of BDAL_KINDS. p1 = alpha R*R + rho Wt and
+    p3 = Wt / rho, with Wt the kind's mass, are P's outer blocks in CSR.
+    p1 is formed by build_preconditioner, for the solves and the spectral
+    verifier alike; p3 only on first read, since the verifier alone reads
+    it and no solve applies P3^-1 from it."""
 
     kind: str
     rho: float
     p1: sp.csr_matrix = field(repr=False)
-    p3: sp.csr_matrix = field(repr=False)
     apply_inverse: Operator = field(repr=False)
+    sys: KktSystem = field(repr=False)
+
+    @cached_property
+    def p3(self) -> sp.csr_matrix:
+        return (1.0 / self.rho) * _kind_mass(self.sys, self.kind)
 
     def as_operator(self) -> Operator:
         return self.apply_inverse
@@ -388,9 +426,7 @@ def build_preconditioner(
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     n = sys.n
-    wt = sys.mass if kind == BDAL_EXACT else _diagonal(sys.ops.mass_lumped)
-    p1 = sys.alpha * sys.reg + rho * wt
-    p3 = (1.0 / rho) * wt
+    p1 = sys.alpha * sys.reg + rho * _kind_mass(sys, kind)
 
     if kind == BDAL_EXACT:
         # Factored on first apply: the spectral verifier reads p1 and p3
@@ -431,7 +467,7 @@ def build_preconditioner(
         out[2 * n :] = solve3(r[2 * n :])
         return out
 
-    return Preconditioner(kind=kind, rho=rho, p1=p1, p3=p3, apply_inverse=apply_inverse)
+    return Preconditioner(kind=kind, rho=rho, p1=p1, apply_inverse=apply_inverse, sys=sys)
 
 
 @dataclass

@@ -109,6 +109,8 @@ class ConditionReport:
     beta: float
     sigma_min_e: float
     sigma_max_e: float
+    lambda_n_e: float  # lambda_n(E), the upper end of E's negative interval
+    lambda_n_plus_1_e: float  # lambda_(n+1)(E), the lower end of its positive one
     cond_e: float
     bound_sigma_min: float
     bound_cond: float
@@ -319,6 +321,8 @@ def verify_spectral_bounds(sys: KktSystem, prec: Preconditioner) -> ConditionRep
         beta=beta,
         sigma_min_e=sigma_min,
         sigma_max_e=sigma_max,
+        lambda_n_e=lam_n,
+        lambda_n_plus_1_e=lam_n1,
         cond_e=cond,
         bound_sigma_min=bound_sigma,
         bound_cond=bound_c,

@@ -480,8 +480,8 @@ def test_theory_verification_small_instance(tmp_path):
     assert rep.cond_e <= rep.bound_cond * (1 + 1e-8)
     lines = (tmp_path / "theory.csv").read_text().splitlines()
     assert lines[0] == (
-        "run-id,nx,ny,n-obs,alpha,rho,delta,beta,sigma-min-e,sigma-max-e,cond-e,"
-        "bound-sigma-min,bound-cond,sigma-min-y,lambda-min-coercivity,pass"
+        "run-id,nx,ny,n-obs,alpha,rho,delta,beta,sigma-min-e,sigma-max-e,lambda-n-e,"
+        "lambda-n-plus-1-e,cond-e,bound-sigma-min,bound-cond,sigma-min-y,lambda-min-coercivity,pass"
     )
     assert len(lines) == 2
     assert lines[1].endswith(",true")
@@ -822,6 +822,18 @@ def test_every_config_is_run_and_checked():
     configs = sorted(n for n in os.listdir(os.path.join(_REPO, "configs")) if n.endswith(".cfg"))
     assert sorted(config for _, config in steps) == configs
     assert sorted(step for step in steps if step[1] not in _UNCHECKED_CONFIGS) == sorted(GOLDEN_RUNS)
+
+
+def test_checked_in_theory_rows_bracket_zero_by_sigma_min():
+    # E has n negative eigenvalues, so sigma_min(E) is the nearer of
+    # lambda_n and lambda_n+1 to zero, read from the golden theory.csv.
+    with open(os.path.join(_REPO, "results", "theory", "theory.csv")) as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == 12
+    for row in rows:
+        lam_n, lam_n1, sigma_min = (float(row[k]) for k in ("lambda-n-e", "lambda-n-plus-1-e", "sigma-min-e"))
+        assert lam_n < 0.0 < lam_n1, row["run-id"]
+        assert min(-lam_n, lam_n1) >= sigma_min, row["run-id"]
 
 
 def test_headline_three_minres_iterations_beat_fifty_cg():

@@ -202,6 +202,17 @@ def test_solve_one_rejects_unknown_kind_before_factoring(kkt_2x2, factors):
 
 
 @pytest.mark.parametrize("kind", BDAL_KINDS)
+def test_a_solve_never_forms_p3(kkt_4x4, monkeypatch, kind):
+    # only the dense verifier reads P3; every kind applies P3^-1 without it
+    formed = []
+    monkeypatch.setattr(kkt.Preconditioner, "p3", property(lambda p: formed.append(p.kind)))
+    q_ref = reference_solution(kkt_4x4)[: kkt_4x4.n]
+    record = solve_one(ExperimentConfig(maxit=20), kkt_4x4, kind, q_ref)
+    assert record.rel_param_error.size > 1
+    assert formed == []
+
+
+@pytest.mark.parametrize("kind", BDAL_KINDS)
 def test_outer_blocks_are_p1_and_p3_of_the_kinds_mass(kind):
     # Wt is the mass matrix for bdal-exact and its row-sum lumping for the
     # lumped kinds; Wt / rho is formed as (1 / rho) Wt
@@ -412,13 +423,34 @@ def test_each_factored_matrix_exists_once(factors, monkeypatch):
         dtype = np.float32 if lu.single else np.float64
         assert m.dtype == factor.L.dtype == factor.U.dtype == dtype, lu.name
         if lu.single:
-            # a float32 copy of the values on the refined CSC's own index arrays
-            assert lu.matrix.dtype == np.float64
-            assert np.shares_memory(lu.matrix.indices, m.indices)
-            assert np.shares_memory(lu.matrix.indptr, m.indptr)
-            assert np.array_equal(m.data, lu.matrix.data.astype(np.float32))
+            # refined against K's blocks: the LU holds no float64 matrix
+            assert lu.matrix is None
+            assert not any(sp.issparse(v) for v in vars(lu).values())
         else:
             assert np.shares_memory(lu.matrix.data, m.data), lu.name
+
+
+def test_no_float64_kkt_matrix_exists_while_the_reference_is_factored(monkeypatch):
+    import gc
+
+    import scipy.sparse.linalg as spla
+
+    sys = make_instance(nx=13, ny=9, n_obs=50, alpha=1e-6)
+    shape, alive = (sys.dim, sys.dim), []
+    splu = spla.splu
+
+    def scanning_splu(m, *args, **kwargs):
+        if m.shape == shape:
+            gc.collect()  # what is left alive is referenced
+            alive.extend(
+                o.dtype for o in gc.get_objects() if sp.issparse(o) and o.shape == shape and o is not m
+            )
+            alive.append(m.dtype)
+        return splu(m, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", scanning_splu)
+    reference_solution(sys)
+    assert alive == [np.float32]  # the factored CSC alone
 
 
 def _same_arrays(a, b):

@@ -16,7 +16,7 @@ from kktprec import harness, parallel
 from kktprec.cli import EXIT_ERROR, main
 from kktprec.spectral import ConditionReport, TheoryViolationError
 
-_REPORT = ConditionReport(*(float(k) for k in range(1, 10)))
+_REPORT = ConditionReport(*(float(k) for k in range(1, 12)))
 
 
 def _job(k):

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 
@@ -397,7 +398,8 @@ def test_preconditioned_kkt_equals_all_factors_first_oracle(verified):
 def test_preconditioned_kkt_reads_the_preconditioners_blocks(kkt_4x4, block):
     # E is formed from P's own outer blocks, not rebuilt from the system
     p = build_preconditioner(kkt_4x4, BDAL_EXACT)
-    doubled = dataclasses.replace(p, **{block: 2 * getattr(p, block)})
+    doubled = copy.copy(p)
+    setattr(doubled, block, 2 * getattr(p, block))  # p3 is a cached property
     e = preconditioned_kkt_dense(kkt_4x4, p)
     assert not np.allclose(preconditioned_kkt_dense(kkt_4x4, doubled), e)
 
