@@ -55,21 +55,23 @@ with the unknowns (u, eta, q) of each vertex interleaved, vertex by vertex
 in the geometric nested-dissection order of mesh.nested_dissection_order
 (George, SIAM J. Numer. Anal. 10, 1973), and factors it in that order.
 bdal-exact's augmented P2 system interleaves its (z, mu) the same way,
-and both go through one permuted solve (_permuted_solver), the only LU
-factored in the order it is given. Every other LU orders by minimum
-degree on m^T + m: the lumped block 2 couples vertices two apart, which
-one-line separators do not split, and the coarsest multigrid levels are
-too small to gain.
+and both go through one permuted solve (_permuted_solver). SparseLU
+reads the ordering from the format: these two systems are the only CSC
+matrices the package factors, and so the only LUs factored in the order
+they are given. Every other factored matrix is exactly symmetric CSR,
+which SuperLU takes as the CSC view m.T of m's own arrays and orders by
+minimum degree on m^T + m: the lumped block 2 couples vertices two
+apart, which one-line separators do not split, and the coarsest
+multigrid levels are too small to gain.
 
 Each matrix SuperLU factors exists once while it is factored. Both
 permuted systems go from their blocks' entries straight into CSC, the
 form SuperLU factors, so neither K nor a permuted CSR copy exists beside
-them. The reference alone is factored in float32: its CSC is built in
-float32 and dropped once factored, and each solve is refined in float64
-against K's blocks (apply_kkt), so no float64 3n x 3n matrix exists at
-all. Every other LU is float64 and refined against the matrix it
-factored. Every factored matrix but these two is exactly symmetric CSR,
-which SuperLU takes as the CSC view m.T of m's own arrays (SparseLU).
+them. SparseLU reads the precision from the dtype, and the reference
+alone is factored in float32: its CSC is built in float32 and dropped
+once factored, and each solve is refined in float64 against K's blocks
+(apply_kkt), so no float64 3n x 3n matrix exists at all. Every other LU
+is float64 and refined against the matrix it factored.
 """
 
 from __future__ import annotations
@@ -293,19 +295,20 @@ def _permuted_solver(
     apply: Operator | None = None,
 ) -> Operator:
     """b -> z solving sp.bmat(blocks) z = b through one LU of the system
-    permuted to rows and cols, built straight into CSC (_permuted_csc) and
-    factored in that order: z[cols] solves the permuted system for
-    b[rows]. Permuting rows and columns keeps the Frobenius norm and the
-    residual norm, so the LU's backward-error contract holds for the
-    unpermuted system too.
+    permuted to rows and cols, built straight into CSC (_permuted_csc),
+    which SparseLU factors in the order it is given: z[cols] solves the
+    permuted system for b[rows]. Permuting rows and columns keeps the
+    Frobenius norm and the residual norm, so the LU's backward-error
+    contract holds for the unpermuted system too.
 
-    Given apply, z -> sp.bmat(blocks) z in float64, the CSC is built in
-    float32 and dropped once SuperLU has factored it, and each solve is
-    refined against apply, gathered to the permuted order, and against
-    the Frobenius norm of the blocks' own entries (SparseLU's against):
-    no float64 copy of the system exists."""
+    Without apply the CSC is float64, and each solve is refined against
+    it. Given apply, z -> sp.bmat(blocks) z in float64, the CSC is built
+    in float32, so the LU is float32, and it is dropped once SuperLU has
+    factored it; each solve is refined against apply, gathered to the
+    permuted order, and against the Frobenius norm of the blocks' own
+    entries (SparseLU's against): no float64 copy of the system exists."""
     if apply is None:
-        lu = SparseLU(_permuted_csc(blocks, rows, cols), name, ordered=True)
+        lu = SparseLU(_permuted_csc(blocks, rows, cols), name)
     else:
 
         def permuted_apply(x: np.ndarray) -> np.ndarray:
@@ -315,7 +318,7 @@ def _permuted_solver(
 
         norm = math.sqrt(sum(float(b.data @ b.data) for block_row in blocks for b in block_row if b is not None))
         csc = _permuted_csc(blocks, rows, cols, np.float32)
-        lu = SparseLU(csc, name, ordered=True, single=True, against=(permuted_apply, norm))
+        lu = SparseLU(csc, name, against=(permuted_apply, norm))
 
     def solve(b: np.ndarray) -> np.ndarray:
         z = np.empty(cols.size)

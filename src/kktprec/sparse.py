@@ -10,12 +10,12 @@ target is held nowhere, since float64 cannot reach it once cond(m)
 exceeds about 1/tol (Higham, Accuracy and Stability of Numerical
 Algorithms, 2nd ed., ch. 7 and 12).
 
-The LU may be float32 (single=True), at the caller's choice: the
-refinement stays in float64 against the float64 m, to the same contract
+SparseLU reads every choice from the matrix it is given: its dtype sets
+the precision of the LU, and its format the ordering. A float32 m gives
+a float32 LU whose refinement stays in float64, to the same contract
 (Buttari et al., ACM TOMS 34, 2008; Carson, Higham, SIAM J. Sci. Comput.
-40, 2018). A caller may also hand over only a float32 m together with the
-float64 map it stands for and that map's Frobenius norm (against): the
-LU is then refined against the map, and m is not kept. Only the
+40, 2018); it is refined against m itself or, given against, against the
+float64 map m is a rounding of, and m is then not kept. Only the
 reference KKT solve takes a float32 LU, in that second form, since it
 sets peak memory at every mesh size. Every other LU is float64: with
 float32 LUs of A and R*R refined to the contract, the reduced-Hessian CG
@@ -53,40 +53,37 @@ class RefinementError(RuntimeError):
 SYMMETRIC_MODE = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
 
 
-# The exact-solve contract: the backward error every SparseLU solve meets,
-# and the corrections after the first LU solve a float64 LU may take to get
-# there. A float32 LU corrects while each correction halves the error.
+# The exact-solve contract: the backward error every SparseLU solve meets.
 EXACT_SOLVE_TOL = 1e-12
-REFINEMENT_ROUNDS = 5
 
 
 class SparseLU:
     """Cached sparse LU factorization (SuperLU) of a square scipy sparse
     matrix; calling it solves m x = r.
 
-    Every factorization runs in SuperLU's symmetric mode: one minimum
-    degree ordering on the pattern of m^T + m for rows and columns alike,
-    and diagonal pivots, off the diagonal only where the diagonal entry is
-    exactly zero (Amestoy, Davis, Duff, SIAM J. Matrix Anal. Appl. 17,
-    1996). That keeps the symmetric fill pattern and suits matrices whose
-    diagonal blocks are SPD; callers order saddle-point systems that way.
-    With ordered=True SuperLU skips its own ordering and eliminates in
-    m's order (permc_spec "NATURAL"): callers that pass it have already
-    permuted m into a fill-reducing order, such as nested dissection.
+    Every factorization runs in SuperLU's symmetric mode: one ordering
+    for rows and columns alike, and diagonal pivots, off the diagonal
+    only where the diagonal entry is exactly zero (Amestoy, Davis, Duff,
+    SIAM J. Matrix Anal. Appl. 17, 1996). That keeps the symmetric fill
+    pattern and suits matrices whose diagonal blocks are SPD; callers
+    order saddle-point systems that way.
 
-    m is CSC or CSR, and SuperLU takes CSC. A CSC m is factored as it is.
-    A CSR m must be exactly symmetric: it is factored through m.T, the CSC
-    view of m's own arrays, which then equals m. So m, kept in its own
-    format as ``matrix`` for refinement, is the only copy of itself while
-    SuperLU runs. With single=True SuperLU factors a float32 copy of m's
-    values on m's own index arrays instead, which halves the values of
-    the LU, and m stays float64 for refinement; a float32 m is factored
-    as it is.
+    m's format sets the ordering. A CSC m is factored as it is and in
+    its own order (permc_spec "NATURAL"): the package builds CSC only
+    for systems it has already permuted into a fill-reducing order, such
+    as nested dissection. A CSR m must be exactly symmetric: it is
+    factored through m.T, the CSC view of m's own arrays, which then
+    equals m, in the minimum degree order of m^T + m. Either way m is the
+    only copy of itself while SuperLU runs.
 
-    against, if given, is (apply, norm): x -> m x in float64 and ||m||_F,
-    for an m that holds only a float32 rounding of the matrix. Each solve
-    is then refined against apply and norm, and m is dropped once
-    factored (``matrix`` is None), so the LU holds no copy of the matrix.
+    m's dtype sets the precision: a float32 m gives a float32 LU, which
+    halves the values of the LU, and every other m a float64 one.
+
+    Each solve is refined against x -> m x and ||m||_F, or, if against
+    is given as (apply, norm), against apply, x -> A x in float64, and
+    norm, ||A||_F, for the matrix A that m stands for, such as the
+    float64 matrix a float32 m is a rounding of. m is then not kept once
+    factored, so the LU holds no copy of the matrix.
 
     Every solve is refined to the module's contract, so a tiny pivot
     either refines to it or raises RefinementError, and so does a CSR m
@@ -94,27 +91,13 @@ class SparseLU:
     SingularMatrixError and RefinementError messages.
     """
 
-    def __init__(
-        self,
-        m,
-        name: str,
-        ordered: bool = False,
-        single: bool = False,
-        against: tuple[Callable[[np.ndarray], np.ndarray], float] | None = None,
-    ):
+    def __init__(self, m, name: str, against: tuple[Callable[[np.ndarray], np.ndarray], float] | None = None):
         import scipy.sparse.linalg as spla
 
         self.name = name
-        self.single = single
-        if against is None:
-            self.matrix = m
-            self._apply, self._norm = m.dot, float(spla.norm(m))
-        else:
-            self.matrix = None
-            self._apply, self._norm = against
-        if single and m.dtype != np.float32:
-            m = type(m)((m.data.astype(np.float32), m.indices, m.indptr), shape=m.shape)
-        options = dict(SYMMETRIC_MODE, permc_spec="NATURAL") if ordered else SYMMETRIC_MODE
+        self.single = m.dtype == np.float32
+        self._apply, self._norm = (m.dot, float(spla.norm(m))) if against is None else against
+        options = dict(SYMMETRIC_MODE, permc_spec="NATURAL") if m.format == "csc" else SYMMETRIC_MODE
         try:
             self._lu = spla.splu(m if m.format == "csc" else m.T, **options)
         except RuntimeError as exc:
@@ -141,14 +124,14 @@ class SparseLU:
         taken as sqrt(v @ v), the value np.linalg.norm returns for a 1-D
         float64 vector, without its dispatch.
 
-        A float64 LU takes one LU solve, then up to REFINEMENT_ROUNDS
-        corrections until the contract is met. A float32 LU corrects while
-        a correction halves the backward error and keeps the better of the
+        One LU solve, then one rule for both precisions: correct while a
+        correction halves the backward error, and keep the better of the
         last two x (0.5 is LAPACK's xGERFSX stopping ratio; Demmel et al.,
-        ACM TOMS 32, 2006), then holds that x to the contract. A fixed
-        budget would not fit it: near alpha = 1e-12 each correction may
-        gain only 2-5 times, and x can still be far from a float64 LU's x
-        once the contract is met. Every correction taken halves the error,
+        ACM TOMS 32, 2006). A float64 LU stops once the contract is met.
+        A float32 LU goes on past it, since x can still be far from a
+        float64 LU's x there, and near alpha = 1e-12 each correction may
+        gain only 2-5 times, which a fixed budget would not fit. Every
+        correction taken halves the backward error, which is at most 1,
         so this ends, and a stalled solve stops at its first correction
         that does not halve."""
         r = np.asarray(r, dtype=np.float64)
@@ -157,21 +140,14 @@ class SparseLU:
             return np.zeros_like(r)
         x = self._solve(r)
         err, residual = self._backward_error(r, norm_r, x)
-        if self.single:
-            while True:
-                corrected = x + self._solve(residual)
-                corrected_err, corrected_residual = self._backward_error(r, norm_r, corrected)
-                if not corrected_err < 0.5 * err:
-                    if corrected_err <= err:
-                        x, err = corrected, corrected_err
-                    break
-                x, err, residual = corrected, corrected_err, corrected_residual
-        else:
-            for _ in range(REFINEMENT_ROUNDS):
-                if err <= EXACT_SOLVE_TOL:
-                    break
-                x = x + self._solve(residual)
-                err, residual = self._backward_error(r, norm_r, x)
+        while self.single or err > EXACT_SOLVE_TOL:
+            corrected = x + self._solve(residual)
+            corrected_err, corrected_residual = self._backward_error(r, norm_r, corrected)
+            if not corrected_err < 0.5 * err:
+                if corrected_err <= err:
+                    x, err = corrected, corrected_err
+                break
+            x, err, residual = corrected, corrected_err, corrected_residual
         if not err <= EXACT_SOLVE_TOL:  # a NaN backward error fails too
             raise RefinementError(
                 f"{self.name} solve: refinement stalled at backward error {err:.3e} "

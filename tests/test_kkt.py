@@ -397,6 +397,12 @@ def test_every_factorization_runs_in_symmetric_mode(factors):
     for kwargs in factors.kwargs:
         assert kwargs["options"] == {"SymmetricMode": True}
         assert kwargs["diag_pivot_thresh"] == 0.0
+    # the two permuted systems, the CSC ones, keep their nested-dissection
+    # order; every symmetric CSR is ordered by minimum degree
+    specs = [(m.shape[0], kwargs["permc_spec"]) for m, kwargs in zip(factors.inputs, factors.kwargs)]
+    natural = [size for size, spec in specs if spec == "NATURAL"]
+    assert sorted(natural) == [2 * sys.n, 3 * sys.n]
+    assert [spec for _, spec in specs].count("MMD_AT_PLUS_A") == 9
 
 
 def test_each_factored_matrix_exists_once(factors, monkeypatch):
@@ -423,11 +429,12 @@ def test_each_factored_matrix_exists_once(factors, monkeypatch):
         dtype = np.float32 if lu.single else np.float64
         assert m.dtype == factor.L.dtype == factor.U.dtype == dtype, lu.name
         if lu.single:
-            # refined against K's blocks: the LU holds no float64 matrix
-            assert lu.matrix is None
+            # refined against K's blocks: the LU holds no sparse matrix
             assert not any(sp.issparse(v) for v in vars(lu).values())
+            assert not sp.issparse(getattr(lu._apply, "__self__", None))
         else:
-            assert np.shares_memory(lu.matrix.data, m.data), lu.name
+            # refined against the very matrix SuperLU factored
+            assert np.shares_memory(lu._apply.__self__.data, m.data), lu.name
 
 
 def test_no_float64_kkt_matrix_exists_while_the_reference_is_factored(monkeypatch):

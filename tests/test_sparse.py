@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -111,6 +112,14 @@ def test_vector_norm_is_sqrt_of_dot(v):
         assert math.sqrt(v @ v) == float(np.linalg.norm(v))
 
 
+def lu_of(m, name, single):
+    """SparseLU of the float64 matrix m; with single, the float32 LU of m
+    refined in float64 against m, as the reference KKT solve is against K."""
+    if not single:
+        return SparseLU(m, name)
+    return SparseLU(m.astype(np.float32), name, against=(m.dot, float(spla.norm(m))))
+
+
 def test_sparse_lu_solves_and_refines():
     rng = np.random.default_rng(31)
     dense = rng.standard_normal((12, 12)) + 12.0 * np.eye(12)
@@ -118,7 +127,7 @@ def test_sparse_lu_solves_and_refines():
     m = sp.csc_matrix(dense)
     b = rng.standard_normal(12)
     for single in (False, True):
-        solver = SparseLU(m, "test", single=single)
+        solver = lu_of(m, "test", single)
         x = solver(b)
         assert np.linalg.norm(dense @ x - b) <= 1e-12 * np.linalg.norm(b)
         assert np.all(solver(np.zeros(12)) == 0.0)
@@ -129,7 +138,7 @@ def test_sparse_lu_ordered_keeps_the_given_order(factors):
     dense = np.diag(np.full(10, 4.0)) + np.diag(np.full(9, -1.0), 1) + np.diag(np.full(9, -1.0), -1)
     dense[0, 9] = dense[9, 0] = -1.0
     b = rng.standard_normal(10)
-    x = SparseLU(sp.csr_matrix(dense), "test", ordered=True)(b)
+    x = SparseLU(sp.csc_matrix(dense), "test")(b)
     norm = np.linalg.norm
     assert norm(dense @ x - b) <= 1e-12 * (norm(dense) * norm(x) + norm(b))
     assert np.array_equal(factors[-1].perm_c, np.arange(10))
@@ -140,7 +149,7 @@ def test_sparse_lu_singular_names_matrix():
     m = sp.diags([1.0, 0.0, 2.0], format="csr")
     for single in (False, True):
         with pytest.raises(SingularMatrixError, match="block 2 matrix"):
-            SparseLU(m, "block 2", single=single)
+            lu_of(m, "block 2", single)
 
 
 def test_sparse_lu_stalled_refinement_reports_error(monkeypatch):
@@ -148,9 +157,39 @@ def test_sparse_lu_stalled_refinement_reports_error(monkeypatch):
     m = sp.csc_matrix(rng.standard_normal((8, 8)) + 8.0 * np.eye(8))
     monkeypatch.setattr(sparse, "EXACT_SOLVE_TOL", 1e-30)
     for single in (False, True):
-        solver = SparseLU(m, "forward", single=single)
+        solver = lu_of(m, "forward", single)
         with pytest.raises(RefinementError, match=r"forward solve: refinement stalled at backward error \d"):
             solver(rng.standard_normal(8))
+
+
+@pytest.mark.parametrize("single", [False, True])
+@pytest.mark.parametrize("theta", [0.4, 0.6])
+def test_sparse_lu_corrects_while_a_correction_halves_the_backward_error(single, theta):
+    # Each LU solve returns (1 - theta) times its true value, so each
+    # correction leaves theta of the residual. With r along m's dominant
+    # entry, ||m||_F ||x|| is close to ||r||, and the backward error falls
+    # by about theta per correction: by at most 0.4 for theta = 0.4, which
+    # reaches the contract in about 30 corrections, and by 0.51 on the
+    # first correction for theta = 0.6, which does not halve it.
+    m = sp.diags([1000.0, 1.0, 1.0], format="csr")
+    b = np.array([1.0, 0.0, 0.0])
+    solver, calls = lu_of(m, "probe", single), []
+    true_solve = solver._solve
+
+    def damped_solve(r):
+        calls.append(r)
+        return (1.0 - theta) * true_solve(r)
+
+    solver._solve = damped_solve
+    if theta > 0.5:
+        with pytest.raises(RefinementError, match="probe solve: refinement stalled"):
+            solver(b)
+        assert len(calls) == 2  # the LU solve and its first correction
+    else:
+        x = solver(b)
+        assert len(calls) > 6  # more than 5 corrections
+        norm = np.linalg.norm
+        assert norm(m @ x - b) <= 1e-12 * (spla.norm(m) * norm(x) + norm(b))
 
 
 def test_sparse_lu_refinement_catches_nonsymmetric_csr():
@@ -158,18 +197,17 @@ def test_sparse_lu_refinement_catches_nonsymmetric_csr():
     # nonsymmetric one factors the wrong matrix; refinement against m
     # then stalls here instead of returning a wrong solution.
     m = sp.csr_matrix([[1.0, 4.0], [0.0, 1.0]])
-    for ordered in (False, True):
-        for single in (False, True):
-            solver = SparseLU(m, "probe", ordered=ordered, single=single)
-            with pytest.raises(RefinementError, match="probe solve: refinement stalled"):
-                solver(np.array([1.0, 2.0]))
+    for single in (False, True):
+        solver = lu_of(m, "probe", single)
+        with pytest.raises(RefinementError, match="probe solve: refinement stalled"):
+            solver(np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("single", [False, True])
 def test_sparse_lu_non_finite_solve_raises(single):
     # A NaN backward error fails the contract: it is not <= the tolerance.
     m = sp.csr_matrix([[4.0, 1.0], [1.0, 3.0]])
-    solver = SparseLU(m, "probe", single=single)
+    solver = lu_of(m, "probe", single)
     with np.errstate(invalid="ignore"):
         for r in ([np.nan, 1.0], [np.inf, 1.0]):
             with pytest.raises(RefinementError, match="backward error nan"):
@@ -178,7 +216,7 @@ def test_sparse_lu_non_finite_solve_raises(single):
         # entries past float32's range: the float32 copy holds inf, its LU
         # solves to zero, and refinement against m reports that
         with np.errstate(over="ignore"):
-            big = SparseLU(sp.csr_matrix([[1.0, 1e39], [1e39, 1.0]]), "big", single=True)
+            big = lu_of(sp.csr_matrix([[1.0, 1e39], [1e39, 1.0]]), "big", single)
         with pytest.raises(RefinementError, match="big solve: refinement stalled"):
             big(np.array([1.0, 2.0]))
 
@@ -196,7 +234,7 @@ def test_sparse_lu_tiny_pivot_refines_or_raises(case):
     dense = np.array(TINY_PIVOT[case])
     rng = np.random.default_rng(33)
     for single in (False, True):
-        solver = SparseLU(sp.csr_matrix(dense), "tiny", single=single)
+        solver = lu_of(sp.csr_matrix(dense), "tiny", single)
         for _ in range(5):
             b = rng.standard_normal(dense.shape[0])
             try:
